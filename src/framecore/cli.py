@@ -139,14 +139,11 @@ def _write(args, payload: str) -> None:
         sys.stdout.write(payload)
 
 
-def _emit(args, report: dict, text_renderer=None) -> None:
+def _emit(args, report: dict, text_renderer) -> None:
     if args.format == "json":
         _write(args, json.dumps(report, indent=2) + "\n")
     else:
-        if text_renderer is None:
-            _write(args, json.dumps(report, indent=2) + "\n")
-        else:
-            _write(args, text_renderer(report))
+        _write(args, text_renderer(report))
 
 
 def _cmd_analyze(args) -> int:

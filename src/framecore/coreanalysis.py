@@ -6,13 +6,14 @@ unit perturbations can make it isolated, and *deficient* when its
 level-alpha neighbors fail to span R^n (deficient implies isolable).  The
 decision procedure used here works in the tangent space at x: with
 u_y = Proj_{x-perp}(sign(<x,y>) y) for each neighbor y, x is isolable
-exactly when some nonzero w orthogonal to x has <w, u_y> <= 0 for all y.
-Such a w is found either as the negated minimum-norm point of conv{u_y}
-(strict separation) or as an infeasibility certificate of the positive-
-spanning test (boundary case); if the u_y positively span the tangent
-space, no such w exists and x is not isolable.  Every isolable verdict is
-validated constructively by actually building the perturbed vector and
-checking that the coherence level strictly drops.
+exactly when some nonzero w orthogonal to x has <w, u_y> <= 0 for all y,
+i.e. when the u_y fail to positively span the tangent space.  When the
+neighbors span R^n the u_y span x-perp, and then they positively span it
+iff -sum_y u_y lies in their cone (Regis 2016), so one NNLS query decides:
+a feasible query gives strictly positive weights with sum_y lambda_y u_y = 0
+(not isolable), and an infeasible one gives its residual as w.  Every
+isolable verdict is validated constructively by actually building the
+perturbed vector and checking that the coherence level strictly drops.
 
 Iterating "remove all isolable vectors" until nothing changes yields the
 core: a subsystem with no isolable vectors that, for inputs that truly
@@ -45,7 +46,6 @@ from .frames import (
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
-    min_norm_point,
     nnls_cone_feasible,
     orthonormal_complement,
     rank_of,
@@ -67,10 +67,10 @@ class VectorVerdict:
 
     ``witness`` (isolable statuses) is a unit direction orthogonal to the
     vector along which perturbation strictly lowers all its inner products
-    below the coherence.  ``certificate`` (not-isolable) stacks the
-    nonnegative weights expressing +/- each tangent basis vector in the
-    cone of the projected signed neighbors, i.e. a positive-spanning
-    certificate.
+    below the coherence.  ``certificate`` (not-isolable, cone stage) holds
+    one weight lambda_y >= 1 per neighbor with ||sum_y lambda_y u_y|| <=
+    hull_abs over the projected signed neighbors u_y, i.e. a positive-
+    spanning certificate.
     """
 
     index: int
@@ -220,11 +220,13 @@ def classify_vector(
     At coherence <= neighbor_abs nothing is isolable (orthonormal systems
     and singletons stay put).  Otherwise: an empty neighbor set means
     isolated; neighbors that fail to span R^n mean deficient (witnessed by
-    a direction orthogonal to them); else the tangent-cone analysis decides, with the
-    minimum-norm point as a first-stage screen and the positive-spanning
-    test as the second stage.  Isolable verdicts are validated by actually
-    constructing the perturbed vector; a failed construction or an
-    iteration cap yields ``indeterminate`` rather than a guess.
+    a direction orthogonal to them); else one cone query decides whether
+    -sum_y u_y lies in the cone of the projected signed neighbors u_y:
+    feasible means not isolable (the weights plus one are the certificate),
+    infeasible means isolable (the NNLS residual is the witness).  Isolable
+    verdicts are validated by actually constructing the perturbed vector;
+    a failed construction or an iteration cap yields ``indeterminate``
+    rather than a guess.
     """
     if not 0 <= i < system.size:
         raise ShapeError(f"index {i} out of range")
@@ -251,7 +253,6 @@ def classify_vector(
         return VectorVerdict(i, ISOLATED, neighbor_count=0, neighbor_rank=0, warnings=warnings)
 
     nb_rank = rank_of(system.vectors[list(nb.indices)], tol)
-    status = None
     witness = None
     certificate = None
 
@@ -259,33 +260,9 @@ def classify_vector(
         status = DEFICIENT_ISOLABLE
         witness = _deficiency_witness(system, i, nb, tol)
     else:
-        x = system.vectors[i]
         tangent = _tangent_neighbors(system, i, nb, gm.entries)
         try:
-            point, _ = min_norm_point(tangent, tol)
-            if float(np.linalg.norm(point)) > tol.hull_abs:
-                status = ISOLABLE
-                witness = -point / np.linalg.norm(point)
-            else:
-                basis = orthonormal_complement(x.reshape(1, -1), tol)
-                weight_rows = []
-                for b in basis:
-                    for sign in (1.0, -1.0):
-                        result = nnls_cone_feasible(tangent, sign * b, tol)
-                        if not result.feasible:
-                            status = ISOLABLE
-                            witness = result.certificate / np.linalg.norm(
-                                result.certificate
-                            )
-                            break
-                        weight_rows.append(result.weights)
-                    if status is not None:
-                        break
-                if status is None:
-                    status = NOT_ISOLABLE
-                    certificate = (
-                        np.array(weight_rows) if weight_rows else np.zeros((0, count))
-                    )
+            result = nnls_cone_feasible(tangent, -np.sum(tangent, axis=0), tol)
         except IterationLimit as exc:
             return VectorVerdict(
                 i,
@@ -294,6 +271,12 @@ def classify_vector(
                 neighbor_rank=nb_rank,
                 warnings=warnings + (f"iteration limit during cone analysis: {exc}",),
             )
+        if result.feasible:
+            status = NOT_ISOLABLE
+            certificate = 1.0 + result.weights
+        else:
+            status = ISOLABLE
+            witness = result.certificate / np.linalg.norm(result.certificate)
 
     if validate and status in (ISOLABLE, DEFICIENT_ISOLABLE):
         others = np.delete(system.vectors, i, axis=0)

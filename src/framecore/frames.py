@@ -153,7 +153,8 @@ def gram(system: UnitVectorSystem) -> GramMatrix:
         coherence = 0.0
     else:
         off = np.abs(G - np.diag(np.diag(G)))
-        coherence = float(off.max())
+        # Rounding can push |<x, y>| of (near-)parallel unit vectors past 1.
+        coherence = min(float(off.max()), 1.0)
     G.flags.writeable = False
     return GramMatrix(G, coherence)
 

@@ -33,7 +33,7 @@ class Tolerances:
 
     eq_abs        absolute tolerance for scalar equality
     neighbor_abs  tolerance on | |<x,y>| - alpha | for neighbor membership
-    hull_abs      threshold below which a minimum-norm point counts as zero
+    hull_abs      NNLS residual norm at or below which a cone query is feasible
     rank_rel      relative eigenvalue cutoff for numerical rank
     """
 

@@ -78,16 +78,13 @@ def core_trace_dict(trace: CoreTrace) -> dict:
 
 
 def verdict_dict(verdict) -> dict:
-    cert = verdict.certificate
     return {
         "index": verdict.index,
         "status": verdict.status,
         "neighbor_count": verdict.neighbor_count,
         "neighbor_rank": verdict.neighbor_rank,
         "witness": _vec(verdict.witness),
-        "certificate": None
-        if cert is None
-        else [[round15(float(v)) for v in row] for row in np.atleast_2d(cert)],
+        "certificate": _vec(verdict.certificate),
         "warnings": list(verdict.warnings),
     }
 

@@ -345,3 +345,47 @@ class TestDeterminism:
         text1 = emit_frame(circular_frame(7))
         text2 = emit_frame(parse_frame(text1))
         assert text1 == text2
+
+
+class TestRotatedDuplicates:
+    """Duplicate rows under a rotation can round to |<x, y>| just above 1."""
+
+    ROWS = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
+
+    @staticmethod
+    def _frame(rows):
+        return "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+    def _outcomes(self, monkeypatch, capsys, rows):
+        frame = self._frame(rows)
+        out = {}
+        for cmd in ("analyze", "core", "check", "classify"):
+            code, text, _ = run_cli(
+                monkeypatch, capsys, [cmd, "-", "--format", "json"], stdin=frame
+            )
+            out[cmd] = (code, json.loads(text))
+        return out
+
+    def test_same_exit_codes_and_statuses_as_unrotated(self, monkeypatch, capsys):
+        rng = np.random.default_rng(3)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rotated = self.ROWS @ Q
+        V = parse_frame(self._frame(rotated)).vectors
+        assert abs(float(V[0] @ V[1])) > 1.0  # the rounding this test is about
+        plain = self._outcomes(monkeypatch, capsys, self.ROWS)
+        turned = self._outcomes(monkeypatch, capsys, rotated)
+        codes = {cmd: code for cmd, (code, _) in turned.items()}
+        assert codes == {"analyze": 0, "core": 0, "check": 4, "classify": 0}
+        assert codes == {cmd: code for cmd, (code, _) in plain.items()}
+        for rep in (plain, turned):
+            rep["core"][1].pop("tolerances")
+            rep["core"][1]["levels"] = [
+                (lv["members"], lv["removed"]) for lv in rep["core"][1]["levels"]
+            ]
+        assert turned["core"][1] == plain["core"][1]
+        assert [v["status"] for v in turned["classify"][1]["verdicts"]] == [
+            v["status"] for v in plain["classify"][1]["verdicts"]
+        ]
+        assert [(c["name"], c["status"]) for c in turned["check"][1]["checks"]] == [
+            (c["name"], c["status"]) for c in plain["check"][1]["checks"]
+        ]

@@ -128,10 +128,14 @@ class TestClassifyBasisPlusDiagonal:
         assert v.status == NOT_ISOLABLE
         assert v.neighbor_count == 3
         assert v.certificate is not None
-        # certificate rows express +/- each tangent basis vector with
-        # nonnegative weights over the projected signed neighbors
-        assert v.certificate.shape == (4, 3)
-        assert v.certificate.min() >= -1e-15
+        # one strictly positive weight per neighbor cancels the projected
+        # signed neighbors: they positively span the tangent space
+        assert v.certificate.shape == (3,)
+        assert v.certificate.min() > 0.0
+        gm = gram(X)
+        nb = neighbors(X, 3, gm.coherence, DEFAULT_TOL, gram_matrix=gm)
+        tangent = np.array(_tangent_neighbors(X, 3, nb, gm.entries))
+        assert np.linalg.norm(v.certificate @ tangent) <= DEFAULT_TOL.hull_abs
 
     def test_deficient_perturbation_beats_level(self):
         X = basis_plus_diagonal()
@@ -185,10 +189,10 @@ class TestIndeterminatePolicy:
         from framecore import coreanalysis
         from framecore.errors import IterationLimit
 
-        def exhausted(points, tol):
+        def exhausted(generators, target, tol):
             raise IterationLimit("forced for the test")
 
-        monkeypatch.setattr(coreanalysis, "min_norm_point", exhausted)
+        monkeypatch.setattr(coreanalysis, "nnls_cone_feasible", exhausted)
         X = tripod_example(0.5)
         verdict = classify_vector(X, 0)
         assert verdict.status == INDETERMINATE
@@ -541,3 +545,143 @@ class TestClassificationProperties:
                     if isolable_set(sub, tol).indices:
                         continue
                     assert set(subset) <= core_set
+
+
+def _random_orthogonal(rng, n):
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q * np.sign(np.diag(R))
+
+
+def _scrambled(rng, rows):
+    """Rows under a random rotation, row order and sign per row."""
+    rows = np.asarray(rows, dtype=float)
+    rows = rows @ _random_orthogonal(rng, rows.shape[1])
+    signs = rng.choice([-1.0, 1.0], size=rows.shape[0])
+    return UnitVectorSystem.from_vectors(rows[rng.permutation(rows.shape[0])] * signs[:, None])
+
+
+def _rim_frame(alpha, dirs):
+    """e_n plus one vector meeting it at alpha per unit tangent direction."""
+    dirs = np.asarray(dirs, dtype=float)
+    r = np.sqrt(1.0 - alpha * alpha)
+    rim = np.column_stack([r * dirs, np.full(len(dirs), alpha)])
+    return np.vstack([np.eye(dirs.shape[1] + 1)[-1], rim])
+
+
+def _spread_rim_frame(rng, n, k, alpha):
+    """e_n plus up to k rim vectors at alpha with random, spread-out directions.
+
+    Of 200 drawn tangent directions, those whose rim inner products with
+    the ones already kept stay below alpha are kept, so e_n meets exactly
+    the rim at the coherence.  Fans, tripods and positively spanning rims
+    all arise.
+    """
+    r2 = 1.0 - alpha * alpha
+    dirs = []
+    for _ in range(200):
+        if len(dirs) == k:
+            break
+        d = rng.standard_normal(n - 1)
+        d /= np.linalg.norm(d)
+        if all(abs(alpha * alpha + r2 * float(d @ e)) < alpha - 1e-3 for e in dirs):
+            dirs.append(d)
+    return _rim_frame(alpha, dirs)
+
+
+def _near_boundary_frame(tilt, mirrored):
+    """e_4 plus rim vectors at 0.9 whose tangent directions barely leave a plane.
+
+    Three directions positively span the e1-e2 plane; a fourth tilts out
+    of it by ``tilt``, so the rim is isolable with an NNLS residual of
+    order tilt.  The mirrored fifth direction tilts the other way and
+    makes the rim positively span the tangent space.
+    """
+    angles = np.radians([0.0, 90.0, 225.0, 157.5, 292.5])
+    z = np.array([0.0, 0.0, 0.0, tilt, -tilt])
+    dirs = np.column_stack([np.cos(z) * np.cos(angles), np.cos(z) * np.sin(angles), np.sin(z)])
+    return _rim_frame(0.9, dirs if mirrored else dirs[:4])
+
+
+def _oracle_systems():
+    import itertools
+
+    rng = np.random.default_rng(4242)
+    out = []
+    for n in range(2, 9):
+        base = simplex_etf(n).vectors
+        for extra in range(3):
+            rows = np.vstack([base, rng.standard_normal((extra, n))])
+            rows /= np.linalg.norm(rows, axis=1)[:, None]
+            out.append(_scrambled(rng, rows))
+    for alpha in (0.5, 0.6, 0.7):
+        out.append(_scrambled(rng, tripod_example(alpha).vectors))
+    fan = np.radians([0.0, 75.0, 150.0])
+    out.append(_scrambled(rng, _rim_frame(0.5, np.column_stack([np.cos(fan), np.sin(fan)]))))
+    for _ in range(40):
+        n = int(rng.integers(3, 9))
+        k = int(rng.integers(n, 2 * n + 1))
+        alpha = float(rng.choice([0.6, 0.75, 0.9]))
+        out.append(_scrambled(rng, _spread_rim_frame(rng, n, k, alpha)))
+    for tilt in (1e-2, 1e-3):
+        for mirrored in (False, True):
+            out.append(_scrambled(rng, _near_boundary_frame(tilt, mirrored)))
+    six = six_in_r4().vectors
+    for size in (4, 5, 6):
+        for subset in itertools.combinations(range(6), size):
+            out.append(_scrambled(rng, six[list(subset)]))
+    return out
+
+
+class TestConeStageOracle:
+    """Cone-stage verdicts against an LP decided by scipy's HiGHS solver.
+
+    For a vector whose neighbors span R^n, the projected signed neighbors
+    u_y positively span x-perp iff sum_y lambda_y u_y = 0 has a solution
+    with every lambda_y >= 1; that is exactly the not-isolable verdict.
+    """
+
+    def test_verdicts_certificates_and_witnesses(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        tol = DEFAULT_TOL
+        outcomes = {ISOLABLE: 0, NOT_ISOLABLE: 0}
+        for X in _oracle_systems():
+            gm = gram(X)
+            alpha = gm.coherence
+            n = X.dim
+            for i in range(X.size):
+                v = classify_vector(X, i, tol, gram_matrix=gm)
+                assert v.status != INDETERMINATE
+                if v.status not in outcomes:
+                    continue
+                assert v.neighbor_rank == n
+                x = X.vectors[i]
+                row = gm.entries[i]
+                U = np.array(
+                    [
+                        np.sign(row[j]) * (X.vectors[j] - row[j] * x)
+                        for j in range(X.size)
+                        if j != i and abs(abs(row[j]) - alpha) <= tol.neighbor_abs
+                    ]
+                )
+                assert U.shape[0] == v.neighbor_count
+                # coordinates of the u_y in an orthonormal basis of x-perp
+                tangent_basis = np.linalg.svd(x.reshape(1, -1))[2][1:]
+                C = U @ tangent_basis.T
+                lp = linprog(
+                    np.ones(len(U)),
+                    A_eq=C.T,
+                    b_eq=np.zeros(n - 1),
+                    bounds=[(1.0, None)] * len(U),
+                    method="highs",
+                )
+                assert lp.status in (0, 2), lp.message
+                assert (lp.status == 0) == (v.status == NOT_ISOLABLE), (X.vectors, i)
+                outcomes[v.status] += 1
+                if v.status == NOT_ISOLABLE:
+                    assert v.certificate.shape == (len(U),)
+                    assert v.certificate.min() > 0.0
+                    assert np.linalg.norm(v.certificate @ U) <= tol.hull_abs
+                else:
+                    assert abs(float(v.witness @ x)) <= 1e-10
+                    assert float(np.max(U @ v.witness)) <= 1e-10
+        assert outcomes[ISOLABLE] >= 20 and outcomes[NOT_ISOLABLE] >= 20, outcomes
