@@ -45,6 +45,7 @@ from .frames import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    SpectralData,
     Tolerances,
     nnls_cone_feasible,
     orthonormal_complement,
@@ -105,17 +106,14 @@ def _orthonormal_rows(rows: np.ndarray, rank: int) -> np.ndarray:
 
 def _near_tie_warnings(row: np.ndarray, i: int, alpha: float, tol: Tolerances) -> list[str]:
     """Flag off-diagonal magnitudes hovering just outside the neighbor band."""
-    out = []
-    for j in range(row.size):
-        if j == i:
-            continue
-        gap = abs(abs(row[j]) - alpha)
-        if tol.neighbor_abs < gap <= 2.0 * tol.neighbor_abs:
-            out.append(
-                f"|G[{i},{j}]| is within 2x neighbor_abs of the coherence; "
-                "classification is tolerance-sensitive here"
-            )
-    return out
+    gap = np.abs(np.abs(row) - alpha)
+    near = (tol.neighbor_abs < gap) & (gap <= 2.0 * tol.neighbor_abs)
+    near[i] = False
+    return [
+        f"|G[{i},{j}]| is within 2x neighbor_abs of the coherence; "
+        "classification is tolerance-sensitive here"
+        for j in np.flatnonzero(near).tolist()
+    ]
 
 
 def _perturb_search(
@@ -340,13 +338,17 @@ class IsolableSet:
     warnings: tuple[str, ...]
 
 
-def isolable_set(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> IsolableSet:
+def isolable_set(
+    system: UnitVectorSystem,
+    tol: Tolerances = DEFAULT_TOL,
+    gram_matrix: GramMatrix | None = None,
+) -> IsolableSet:
     """Indices of all isolated, deficient, and otherwise isolable vectors.
 
     Indeterminate vectors are listed separately and excluded; removing a
     vector on uncertain evidence could empty a genuine core.
     """
-    gm = gram(system)
+    gm = gram_matrix or gram(system)
     verdicts = tuple(
         classify_vector(system, i, tol, gram_matrix=gm) for i in range(system.size)
     )
@@ -474,7 +476,12 @@ class CoreTrace:
     warnings: tuple[str, ...]
 
 
-def core(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> CoreTrace:
+def core(
+    system: UnitVectorSystem,
+    tol: Tolerances = DEFAULT_TOL,
+    gram_matrix: GramMatrix | None = None,
+    level0: IsolableSet | None = None,
+) -> CoreTrace:
     """Iteratively strip isolable vectors until a fixed point remains.
 
     Each level records the current member set, the isolable vectors removed
@@ -482,8 +489,11 @@ def core(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> CoreTrace:
     original coherence is flagged, since for coherence-minimizing input the
     level coherences all agree).  An emptied chain returns an empty core
     with a warning: genuine minimizers always stop at >= n + 1 vectors.
+    Level 0 is the whole system, so a precomputed ``isolable_set(system)``
+    can be passed as ``level0``.
     """
-    alpha0 = gram(system).coherence
+    gm0 = gram_matrix or gram(system)
+    alpha0 = gm0.coherence
     current = tuple(range(system.size))
     levels: list[CoreLevel] = []
     warnings: list[str] = []
@@ -493,13 +503,17 @@ def core(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> CoreTrace:
                 "core iteration emptied the set; evidence input is not Grassmannian"
             )
             break
-        sub = system.restrict(current)
-        coh = gram(sub).coherence
-        if abs(coh - alpha0) > tol.neighbor_abs and len(levels) > 0:
-            warnings.append(
-                f"coherence changed from {alpha0!r} to {coh!r} at level {len(levels)}"
-            )
-        info = isolable_set(sub, tol)
+        if not levels:
+            coh = alpha0
+            info = level0 or isolable_set(system, tol, gram_matrix=gm0)
+        else:
+            sub = system.restrict(current)
+            coh = gram(sub).coherence
+            if abs(coh - alpha0) > tol.neighbor_abs:
+                warnings.append(
+                    f"coherence changed from {alpha0!r} to {coh!r} at level {len(levels)}"
+                )
+            info = isolable_set(sub, tol)
         warnings.extend(info.warnings)
         removed = tuple(current[j] for j in info.indices)
         levels.append(CoreLevel(current, removed, coh))
@@ -520,7 +534,10 @@ class CoreValidation:
 
 
 def validate_core(
-    system: UnitVectorSystem, trace: CoreTrace, tol: Tolerances = DEFAULT_TOL
+    system: UnitVectorSystem,
+    trace: CoreTrace,
+    tol: Tolerances = DEFAULT_TOL,
+    gram_matrix: GramMatrix | None = None,
 ) -> CoreValidation:
     """Check the structural guarantees of the core of a genuine minimizer.
 
@@ -532,7 +549,7 @@ def validate_core(
     """
     n = system.dim
     checks: list[tuple[str, str, str]] = []
-    alpha0 = gram(system).coherence
+    alpha0 = (gram_matrix or gram(system)).coherence
     if alpha0 <= tol.neighbor_abs:
         full = trace.core == tuple(range(system.size))
         checks.append(
@@ -692,21 +709,26 @@ class EigenSpanReport:
 
 
 def eigen_span_diagnostic(
-    system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL
+    system: UnitVectorSystem,
+    tol: Tolerances = DEFAULT_TOL,
+    spectrum: SpectralData | None = None,
+    gram_matrix: GramMatrix | None = None,
 ) -> EigenSpanReport:
     """Check that the top eigenvector lies in span({x} union neighbors of x).
 
     Holds for coherence minimizers whose top eigenvalue is extremal; with a
     degenerate top eigenvalue the statement picks one particular
     eigenvector, so the check reports distances for each candidate and is
-    labeled AMBIGUOUS instead of pass/fail.
+    labeled AMBIGUOUS instead of pass/fail.  ``spectrum`` and
+    ``gram_matrix`` are the precomputed ``spectral_data(system, tol)`` and
+    ``gram(system)``.
     """
     m, n = system.size, system.dim
     if m <= n:
         return EigenSpanReport("SKIP", 0, (), "needs m > n")
-    spec = sym_eig(frame_operator(system), tol)
+    spec = spectrum or sym_eig(frame_operator(system), tol)
     k = spec.top_multiplicity(tol.eq_abs)
-    gm = gram(system)
+    gm = gram_matrix or gram(system)
     per_vector: list[tuple[float, ...]] = []
     for i in range(m):
         nb = neighbors(system, i, gm.coherence, tol, gram_matrix=gm)

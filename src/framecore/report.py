@@ -22,14 +22,15 @@ from .coreanalysis import (
     tight_grassmannian_diagnostic,
     validate_core,
 )
+from .errors import InconsistentVerdict
 from .frames import (
     UnitVectorSystem,
     bounds_card,
+    drop_one_spanning,
     gram,
     is_equiangular,
     is_etf,
     neighbor_count_report,
-    spans,
     spectral_data,
     tightness,
 )
@@ -92,7 +93,13 @@ def verdict_dict(verdict) -> dict:
 def build_analysis_report(
     system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL
 ) -> dict:
-    """Full machine-readable analysis of one system (fixed key order)."""
+    """Full machine-readable analysis of one system (fixed key order).
+
+    Each stage runs once: the Gram matrix and the frame-operator spectrum
+    are computed here and handed to the stages that need them, and the
+    level-0 verdicts are reused as level 0 of the core.  When the two ETF
+    routes disagree, ``etf`` is null and the disagreement is a warning.
+    """
     m, n = system.size, system.dim
     gm = gram(system)
     warnings = list(system.warnings)
@@ -103,16 +110,20 @@ def build_analysis_report(
 
     if m >= 2:
         equi_flag, equi_angle = is_equiangular(system, tol)
-        etf_flag = is_etf(system, tol)
+        try:
+            etf_flag = is_etf(system, tol)
+        except InconsistentVerdict as exc:
+            etf_flag = None
+            warnings.append(f"etf undecided: {exc}")
     else:
         equi_flag, equi_angle, etf_flag = None, None, None
 
-    info = isolable_set(system, tol)
-    trace = core(system, tol)
-    core_checks = validate_core(system, trace, tol)
+    info = isolable_set(system, tol, gram_matrix=gm)
+    trace = core(system, tol, gram_matrix=gm, level0=info)
+    core_checks = validate_core(system, trace, tol, gram_matrix=gm)
 
     if m > n:
-        drop_one = [bool(spans(system, omit={j}, tol=tol)) for j in range(m)]
+        drop_one = list(drop_one_spanning(system, tol, spectrum=spec))
         drop_status = "PASS" if all(drop_one) else "FAIL"
         drop_detail = (
             "every single-vector deletion leaves a spanning set"
@@ -124,8 +135,8 @@ def build_analysis_report(
         drop_status = "SKIP"
         drop_detail = "needs m > n"
 
-    counts = neighbor_count_report(system, tol)
-    eig_span = eigen_span_diagnostic(system, tol)
+    counts = neighbor_count_report(system, tol, gram_matrix=gm)
+    eig_span = eigen_span_diagnostic(system, tol, spectrum=spec, gram_matrix=gm)
     tight_diag = tight_grassmannian_diagnostic(system, tol)
 
     report = {

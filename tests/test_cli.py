@@ -258,17 +258,37 @@ class TestCommands:
         assert code == 2
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
-        # boundary system whose ETF routes disagree: analyze exits 3
+        # a numerical error escaping a command maps to exit 3
+        from framecore import cli
+        from framecore.errors import VerificationError
+
+        def fail(*args, **kwargs):
+            raise VerificationError("simulated verification failure")
+
+        monkeypatch.setattr(cli, "build_analysis_report", fail)
+        code, out, err = run_cli(monkeypatch, capsys, ["analyze", "-"], stdin="1 0\n0 1\n")
+        assert code == 3 and out == ""
+        assert "numerical failure: simulated verification failure" in err
+
+    def test_etf_route_disagreement_is_reported(self, monkeypatch, capsys):
+        # nudged simplex: not tight at eq_abs, yet at the Welch value within
+        # 1e-7, so the two ETF routes disagree; analyze still emits the
+        # whole report and check reports the disagreement as a FAIL
         V = simplex_etf(3).vectors.copy()
-        w = np.array([1.0, 0.0, 0.0])
-        w = w - (w @ V[0]) * V[0]
-        w = w / np.linalg.norm(w)
-        V[0] = V[0] + 3e-8 * w
+        V[0] = V[0] + 1e-7 * np.array([0.3, 0.5, -0.8])
         V[0] = V[0] / np.linalg.norm(V[0])
         frame = emit_frame(UnitVectorSystem.from_vectors(V))
-        code, _, err = run_cli(monkeypatch, capsys, ["analyze", "-"], stdin=frame)
-        assert code == 3
-        assert "numerical failure" in err
+        code, out, _ = run_cli(monkeypatch, capsys, ["analyze", "-"], stdin=frame)
+        assert code == 0
+        report = json.loads(out)
+        assert report["etf"] is None
+        assert any("routes disagree" in w for w in report["warnings"])
+        assert len(report["vectors"]) == 4 and report["core"]["levels"]
+        assert report["diagnostics"]["drop_one_spanning"]["status"] == "PASS"
+        code, out, _ = run_cli(monkeypatch, capsys, ["check", "-"], stdin=frame)
+        assert code == 4
+        failed = {c["name"] for c in json.loads(out)["checks"] if c["status"] == "FAIL"}
+        assert "etf_route_consistency" in failed
 
 
 class TestCheckCommand:

@@ -183,6 +183,26 @@ class TestClassifyEdgeCases:
         v = classify_vector(X, 0)
         assert any("tolerance-sensitive" in w for w in v.warnings)
 
+    def test_near_tie_warnings_match_loop_reference(self):
+        # the scalar loop _near_tie_warnings() replaced, kept as the reference
+        from framecore.coreanalysis import _near_tie_warnings
+
+        def reference(row, i, alpha, tol):
+            return [
+                f"|G[{i},{j}]| is within 2x neighbor_abs of the coherence; "
+                "classification is tolerance-sensitive here"
+                for j in range(row.size)
+                if j != i and tol.neighbor_abs < abs(abs(row[j]) - alpha) <= 2.0 * tol.neighbor_abs
+            ]
+
+        rng = np.random.default_rng(9)
+        alpha, tol = 0.3, DEFAULT_TOL
+        gaps = tol.neighbor_abs * np.array([0.5, 1.0, 1.5, 2.0, 2.5, -1.5, -2.0, -3.0])
+        for _ in range(20):
+            row = rng.choice((-1.0, 1.0), 12) * (alpha + rng.choice(gaps, 12))
+            i = int(rng.integers(12))
+            assert _near_tie_warnings(row, i, alpha, tol) == reference(row, i, alpha, tol)
+
 
 class TestIndeterminatePolicy:
     def test_iteration_limit_becomes_indeterminate(self, monkeypatch):

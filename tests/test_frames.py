@@ -1,6 +1,7 @@
 """Tests for the frame model: Gram, neighbors, tightness, bounds, reconstruction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from framecore import (
     bounds_card,
     circular_frame,
     double,
+    drop_one_spanning,
     frame_operator,
     gram,
     is_equiangular,
@@ -25,6 +27,7 @@ from framecore import (
     tightness,
     welch_bound,
 )
+from framecore import frames
 from framecore.errors import NormError, NotAFrame, ShapeError
 from helpers import random_unit_system, tripod_example
 
@@ -98,6 +101,31 @@ class TestNeighbors:
         nb = neighbors(six, 0, 1.0 / 3.0)
         assert nb.indices == (1, 2, 3, 4, 5)
 
+    def test_matches_loop_reference(self):
+        # the scalar loop neighbors() replaced, kept as the reference
+        def reference(G, i, level, tol):
+            hits, signs = [], []
+            for j in range(G.shape[0]):
+                if j != i and abs(abs(G[i, j]) - level) <= tol.neighbor_abs:
+                    hits.append(j)
+                    signs.append(1.0 if G[i, j] >= 0.0 else -1.0)
+            return tuple(hits), tuple(signs)
+
+        rng = np.random.default_rng(8)
+        level, tol = 0.4, frames.DEFAULT_TOL
+        offsets = tol.neighbor_abs * np.array([0.0, 0.5, 1.0, 1.5, -0.5, -1.0, -2.0])
+        for _ in range(20):
+            m = int(rng.integers(2, 12))
+            G = rng.uniform(-1.0, 1.0, (m, m))
+            picks = rng.random((m, m)) < 0.5
+            G[picks] = rng.choice((-1.0, 1.0), picks.sum()) * (level + rng.choice(offsets, picks.sum()))
+            system = random_unit_system(rng, m, 3)
+            for i in range(m):
+                nb = neighbors(system, i, level, tol, gram_matrix=frames.GramMatrix(G, 1.0))
+                assert (nb.indices, nb.signs) == reference(G, i, level, tol)
+                assert all(type(j) is int for j in nb.indices)
+                assert all(type(x) is float for x in nb.signs)
+
 
 class TestFrameOperator:
     def test_orthonormal_basis(self):
@@ -138,6 +166,78 @@ class TestSpans:
         onb = UnitVectorSystem.from_vectors(np.eye(3))
         assert spans(onb)
         assert not spans(onb, omit={0})
+
+
+class TestDropOneSpanning:
+    """The leverage-score decision against the rank route, vector by vector."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        rank_route = frames.spans
+
+        def counting(system, omit=None, tol=frames.DEFAULT_TOL):
+            calls.append(omit)
+            return rank_route(system, omit=omit, tol=tol)
+
+        monkeypatch.setattr(frames, "spans", counting)
+        return calls
+
+    @staticmethod
+    def _oracle(system):
+        return tuple(spans(system, omit={j}) for j in range(system.size))
+
+    def test_matches_rank_route_without_fallback(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        systems = [random_unit_system(rng, m, n) for m, n in ((4, 3), (13, 12), (40, 6), (200, 12))]
+        systems += [simplex_etf(n) for n in range(2, 16)] + [six_in_r4(), circular_frame(7)]
+        expected = [self._oracle(s) for s in systems]
+        calls = self._counted(monkeypatch)
+        for system, want in zip(systems, expected):
+            assert drop_one_spanning(system) == want
+        assert calls == []
+
+    def test_single_removal_breaks_spanning(self, monkeypatch):
+        system = UnitVectorSystem.from_vectors([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]])
+        calls = self._counted(monkeypatch)
+        assert drop_one_spanning(system) == (False, False, True, True)
+        assert calls == []
+
+    def test_nonspanning_frame_takes_rank_route(self, monkeypatch):
+        # lambda_min(S) = 0: no leverage score exists, and none is divided out
+        system = UnitVectorSystem.from_vectors([[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0]])
+        calls = self._counted(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert drop_one_spanning(system) == (False,) * 4
+        assert calls == [{0}, {1}, {2}, {3}]
+
+    @pytest.mark.parametrize(
+        "weak, want",
+        [
+            # x2 = (c, s), s^2 = 1.5e-9, next to a doubled e1: lambda_min(S)
+            # ~ 1e-9 is so small that the rounding allowance on h_2 leaves
+            # its bounds straddling the threshold; x0 and x1 stay decided
+            ([math.sqrt(1.5e-9)], (True, True, False)),
+            # (c, +-s) next to a tripled e1 with lambda_min(S) = 1.5 rank_rel
+            # lambda_max(S): dropping either weak vector halves lambda_min
+            # while h stays near 1/2, so only the rank route can say no
+            ([math.sqrt(3.75e-10), -math.sqrt(3.75e-10)], (True, True, True, False, False)),
+        ],
+    )
+    def test_near_band_vectors_take_rank_route(self, monkeypatch, weak, want):
+        base = [[1.0, 0.0]] * (len(want) - len(weak))
+        system = UnitVectorSystem.from_vectors(base + [[math.sqrt(1 - s * s), s] for s in weak])
+        assert self._oracle(system) == want
+        calls = self._counted(monkeypatch)
+        assert drop_one_spanning(system) == want
+        assert calls == [{j} for j in range(len(base), len(want))]
+
+    def test_spectrum_argument_and_size_check(self):
+        six = six_in_r4()
+        assert drop_one_spanning(six, spectrum=spectral_data(six)) == (True,) * 6
+        with pytest.raises(ShapeError):
+            drop_one_spanning(UnitVectorSystem.from_vectors([[1.0, 0.0]]))
 
 
 class TestTightness:

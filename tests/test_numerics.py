@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from framecore import six_in_r4
+from framecore import frame_operator, simplex_etf, six_in_r4
 from framecore.errors import (
     DimensionMismatch,
     NonFinite,
@@ -82,6 +82,43 @@ class TestSymEig:
         A = rng.standard_normal((6, 6))
         spec = sym_eig(0.5 * (A + A.T))
         assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
+
+
+class TestSymEigOracle:
+    """sym_eig against LAPACK's scipy.linalg.eigh, an independent solver."""
+
+    @staticmethod
+    def _compare(S):
+        linalg = pytest.importorskip("scipy.linalg")
+        spec = sym_eig(S)
+        ref_values, ref_vectors = linalg.eigh(S)
+        ref_values, ref_vectors = ref_values[::-1], ref_vectors[:, ::-1]
+        scale = float(np.max(np.abs(ref_values)))
+        assert np.max(np.abs(spec.eigenvalues - ref_values)) <= 1e-10 * scale
+        # Eigenvectors of a repeated eigenvalue are not unique, so compare the
+        # projector onto each eigenspace (eigenvalues closer than 1e-8 * scale
+        # form one); its error is bounded by the backward error over the gap.
+        cut = np.flatnonzero(np.diff(ref_values) < -1e-8 * scale) + 1
+        bounds = [0, *cut.tolist(), len(ref_values)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            gaps = [ref_values[lo - 1] - ref_values[lo]] if lo else []
+            gaps += [ref_values[hi - 1] - ref_values[hi]] if hi < len(ref_values) else []
+            V, R = spec.eigenvectors[:, lo:hi], ref_vectors[:, lo:hi]
+            err = np.linalg.norm(V @ V.T - R @ R.T, 2)
+            assert err <= 1e-10 * scale / min(gaps, default=scale)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_seeded_symmetric(self, n):
+        rng = np.random.default_rng(900 + n)
+        A = rng.standard_normal((n, n))
+        self._compare(0.5 * (A + A.T))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        repeated = np.repeat(rng.standard_normal((n + 2) // 3), 3)[:n]
+        self._compare(0.5 * (Q * repeated @ Q.T + (Q * repeated @ Q.T).T))
+
+    def test_frame_operators_with_repeated_eigenvalues(self):
+        for system in (six_in_r4(), *(simplex_etf(n) for n in (2, 5, 12, 20))):
+            self._compare(frame_operator(system))
 
 
 class TestRank:
