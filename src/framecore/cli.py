@@ -34,6 +34,7 @@ from .frames import (
     neighbor_count_report,
     reconstruct,
     spans,
+    spectral_data,
     tightness,
     welch_bound,
 )
@@ -279,7 +280,11 @@ def _cmd_catalog(args) -> int:
 
 
 def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
-    """Invariant suite for one system; FAIL entries make `check` exit 4."""
+    """Invariant suite for one system; FAIL entries make `check` exit 4.
+
+    The Gram matrix, the frame-operator spectrum and the spanning flag are
+    computed once and shared by the checks that need them.
+    """
     m, n = system.size, system.dim
     checks: list[dict] = []
 
@@ -287,6 +292,8 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
         checks.append({"name": name, "status": status, "detail": detail})
 
     gm = gram(system)
+    spec = spectral_data(system, tol)
+    spanning = spans(system, tol=tol)
     add("unit_norms", "PASS", "validated on load" + (
         f" ({'; '.join(system.warnings)})" if system.warnings else ""
     ))
@@ -299,7 +306,7 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
         f"trace = {trace_val!r}, expected m = {m} within 1e-8*m",
     )
 
-    if m > n and spans(system, tol=tol):
+    if m > n and spanning:
         w = welch_bound(m, n)
         ok = gm.coherence >= w - 1e-9
         add(
@@ -326,10 +333,10 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
     else:
         add("etf_route_consistency", "SKIP", "needs m >= 2")
 
-    for name, status, detail in neighbor_count_report(system, tol).checks:
+    for name, status, detail in neighbor_count_report(system, tol, gram_matrix=gm).checks:
         add(f"neighbor_counts.{name}", status, detail)
 
-    if spans(system, tol=tol):
+    if spanning:
         target = np.zeros(n)
         target[0] = 1.0
         rec = reconstruct(system, target, tol)
@@ -343,14 +350,14 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
     else:
         add("reconstruction_identity", "SKIP", "system does not span")
 
-    eig = eigen_span_diagnostic(system, tol)
+    eig = eigen_span_diagnostic(system, tol, spectrum=spec, gram_matrix=gm)
     add("eigen_span", eig.status, eig.detail)
 
     diag = tight_grassmannian_diagnostic(system, tol)
     add(diag.name, diag.status, diag.detail)
 
-    trace = core(system, tol)
-    for name, status, detail in validate_core(system, trace, tol).checks:
+    trace = core(system, tol, gram_matrix=gm)
+    for name, status, detail in validate_core(system, trace, tol, gram_matrix=gm).checks:
         add(f"core_validation.{name}", status, detail)
 
     return checks

@@ -48,8 +48,8 @@ from .numerics import (
     SpectralData,
     Tolerances,
     nnls_cone_feasible,
-    orthonormal_complement,
     rank_of,
+    row_space,
     sym_eig,
 )
 
@@ -85,23 +85,6 @@ class VectorVerdict:
     @property
     def isolable(self) -> bool:
         return self.status in ISOLABLE_STATUSES
-
-
-def _orthonormal_rows(rows: np.ndarray, rank: int) -> np.ndarray:
-    """Deterministic orthonormal basis of the row space (pivoted, two-pass)."""
-    residual = np.asarray(rows, dtype=float).copy()
-    basis: list[np.ndarray] = []
-    for _ in range(rank):
-        norms = np.linalg.norm(residual, axis=1)
-        pick = int(np.argmax(norms))
-        v = residual[pick] / norms[pick]
-        if basis:
-            B = np.array(basis)
-            v = v - (v @ B.T) @ B
-            v = v / np.linalg.norm(v)
-        basis.append(v)
-        residual = residual - np.outer(residual @ v, v)
-    return np.array(basis) if basis else np.zeros((0, rows.shape[1]))
 
 
 def _near_tie_warnings(row: np.ndarray, i: int, alpha: float, tol: Tolerances) -> list[str]:
@@ -166,23 +149,16 @@ def _tangent_neighbors(
     return out
 
 
-def _deficiency_witness(
-    system: UnitVectorSystem, i: int, nb: NeighborSet, tol: Tolerances
-) -> np.ndarray:
-    """Isolating direction for a deficient vector, projected to x-perp.
+def _deficiency_witness(x: np.ndarray, complement: np.ndarray) -> np.ndarray:
+    """Isolating direction for a deficient vector x, projected to x-perp.
 
-    Picks z orthogonal to the neighbor span with <x, z> >= 0 (the component
-    of x outside the span when present, otherwise the first completion
-    direction) and returns the normalized tangent part of z.  The tangent
-    part satisfies <w, u_y> = -alpha <x, z> <= 0 for every neighbor, so it
-    is a valid isolating direction.
+    ``complement`` is an orthonormal basis of the complement of the
+    neighbor span.  Picks z in it with <x, z> >= 0 (the component of x
+    outside the span when present, otherwise the first complement row) and
+    returns the normalized tangent part of z.  The tangent part satisfies
+    <w, u_y> = -alpha <x, z> <= 0 for every neighbor, so it is a valid
+    isolating direction.
     """
-    x = system.vectors[i]
-    n = system.dim
-    nb_rows = system.vectors[list(nb.indices)]
-    r = rank_of(nb_rows, tol)
-    span_basis = _orthonormal_rows(nb_rows, r)
-    complement = orthonormal_complement(span_basis, tol)
     coeffs = complement @ x
     outside = complement.T @ coeffs
     if float(np.linalg.norm(outside)) > 1e-9:
@@ -250,13 +226,14 @@ def classify_vector(
     if count == 0:
         return VectorVerdict(i, ISOLATED, neighbor_count=0, neighbor_rank=0, warnings=warnings)
 
-    nb_rank = rank_of(system.vectors[list(nb.indices)], tol)
+    span_basis, complement = row_space(system.vectors[list(nb.indices)], tol)
+    nb_rank = span_basis.shape[0]
     witness = None
     certificate = None
 
     if nb_rank < n:
         status = DEFICIENT_ISOLABLE
-        witness = _deficiency_witness(system, i, nb, tol)
+        witness = _deficiency_witness(system.vectors[i], complement)
     else:
         tangent = _tangent_neighbors(system, i, nb, gm.entries)
         try:
@@ -733,7 +710,7 @@ def eigen_span_diagnostic(
     for i in range(m):
         nb = neighbors(system, i, gm.coherence, tol, gram_matrix=gm)
         rows = system.vectors[[i] + list(nb.indices)]
-        basis = _orthonormal_rows(rows, rank_of(rows, tol))
+        basis = row_space(rows, tol)[0]
         dists = []
         for j in range(k):
             e = spec.eigenvectors[:, j]

@@ -214,7 +214,9 @@ def drop_one_spanning(
     """``spans(system, omit={j})`` for every j, from the spectrum of S.
 
     Removing x_j leaves S_j = S - x_j x_j^T, and ``rank_of`` calls that
-    spanning iff lambda_min(S_j) > rank_rel * lambda_max(S_j).  With the
+    spanning iff sigma_min^2 > rank_rel * sigma_max^2 over the singular
+    values of the remaining rows, whose squares are the eigenvalues of
+    S_j, i.e. iff lambda_min(S_j) > rank_rel * lambda_max(S_j).  With the
     leverage score h_j = x_j^T S^-1 x_j = sum_k (v_k^T x_j)^2 / lambda_k
     over the eigenpairs (lambda_k, v_k) of S, both sides are bracketed
     exactly for a unit x_j:
@@ -228,7 +230,9 @@ def drop_one_spanning(
     matrix determinant lemma).  x_j is decided True when the lower bound
     clears the threshold and False when the upper bound cannot reach it,
     each by an absolute rounding margin of 64 n eps lambda_max(S) for the
-    eigenvalue errors of both spectra, with h_j widened by the relative
+    eigenvalue errors of both spectra (it also covers the SVD, whose sigma
+    errors of order n eps sigma_max move each sigma^2 by at most a few
+    n eps lambda_max), with h_j widened by the relative
     error 64 n eps lambda_max(S) / lambda_min(S) that such a backward error
     in S induces in S^-1.  A vector whose bounds straddle the threshold,
     and every vector when S itself is not clearly spanning (so no leverage

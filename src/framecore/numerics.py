@@ -1,12 +1,14 @@
 """Small dense linear algebra with explicit tolerances.
 
-Everything here is deterministic and pure: symmetric eigendecomposition by
-cyclic Jacobi rotations, tolerance-aware rank, completion of an orthonormal
-row set to a full basis, nonnegative least squares with a feasibility
-certificate, and the minimum-norm point of a convex hull.  These are the
-decision engines behind the vector classification and the complement
-pipeline; matrices stay small (a few dozen rows at most), so clarity and
-reproducibility win over BLAS-level speed.
+Everything here is deterministic and pure.  The symmetric eigendecomposition
+is LAPACK's ``eigh`` with a fixed order and sign convention.  One SVD,
+``row_space``, is the single orthonormalization primitive: it splits R^N
+into the row space of a matrix and its complement at the ``rank_rel``
+cutoff, which gives the tolerance-aware rank, span bases and the completion
+of an orthonormal row set to a full basis.  Nonnegative least squares with
+a feasibility certificate and the minimum-norm point of a convex hull are
+implemented here.  These are the decision engines behind the vector
+classification and the complement pipeline.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class Tolerances:
     eq_abs        absolute tolerance for scalar equality
     neighbor_abs  tolerance on | |<x,y>| - alpha | for neighbor membership
     hull_abs      NNLS residual norm at or below which a cone query is feasible
-    rank_rel      relative eigenvalue cutoff for numerical rank
+    rank_rel      relative cutoff on squared singular values for numerical rank
     """
 
     eq_abs: float = 1e-9
@@ -87,7 +89,7 @@ def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def sym_eig(S, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Returns eigenvalues in descending order with orthonormal eigenvector
     columns; each column's first non-negligible entry is made positive so
@@ -103,77 +105,43 @@ def sym_eig(S, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
     if float(np.max(np.abs(A - A.T))) > tol.eq_abs:
         raise NotSymmetric("matrix is not symmetric within eq_abs")
 
-    A = 0.5 * (A + A.T)
-    V = np.eye(n)
-    scale = float(np.linalg.norm(A))
-    if scale == 0.0:
-        return SpectralData(np.zeros(n), V)
-
-    # Cyclic sweeps; quadratic convergence makes 50 sweeps far more than
-    # enough for the sizes seen here.  The off-diagonal norm is summed
-    # directly from the off-diagonal entries: the difference
-    # ||A||_F^2 - ||diag||^2 cancels catastrophically and would hide
-    # residuals near sqrt(eps)*scale, stopping the sweeps too early.
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(50):
-        off = float(np.sqrt(np.sum(A[off_mask] ** 2)))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0.0 else 1.0
-                t = t / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                app, aqq = A[p, p], A[q, q]
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = A[q, p] = 0.0
-                rows = np.r_[0:p, p + 1:q, q + 1:n]
-                akp = A[rows, p].copy()
-                akq = A[rows, q].copy()
-                A[rows, p] = A[p, rows] = c * akp - s * akq
-                A[rows, q] = A[q, rows] = s * akp + c * akq
-                vp = V[:, p].copy()
-                V[:, p] = c * vp - s * V[:, q]
-                V[:, q] = s * vp + c * V[:, q]
-
-    eigenvalues = np.diag(A).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = _fix_column_signs(V[:, order])
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (A + A.T))
+    eigenvalues = eigenvalues[::-1].copy()
+    vectors = _fix_column_signs(vectors[:, ::-1])
     eigenvalues.flags.writeable = False
     vectors.flags.writeable = False
     return SpectralData(eigenvalues, vectors)
 
 
-def rank_of(M, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numerical rank: eigenvalues of MtM above rank_rel times the largest.
+def row_space(M, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the row space of M and of its complement in R^N.
 
-    The zero matrix has rank 0; otherwise at least one eigenvalue survives
-    the relative cutoff.
+    From one SVD M = U diag(sigma) V^T: the right singular vectors with
+    sigma_i^2 > rank_rel * sigma_1^2 form the (r x N) basis, the remaining
+    N - r the complement, so the two stack to an orthonormal basis of R^N.
+    The sigma_i^2 are the eigenvalues of M^T M, and the zero matrix has
+    r = 0.  Each row's first non-negligible entry is made positive.
     """
     A = _as_matrix(M, "M")
-    # Work with the smaller Gram matrix; both share the nonzero spectrum.
-    G = A.T @ A if A.shape[1] <= A.shape[0] else A @ A.T
-    eigs = sym_eig(G, tol).eigenvalues
-    top = float(eigs[0])
-    if top <= 0.0:
-        return 0
-    return int(np.sum(eigs > tol.rank_rel * top))
+    # Only V is used; U need not be square unless V would come out short.
+    _, sigma, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    r = int(np.sum(sigma**2 > tol.rank_rel * sigma[0] ** 2))
+    rows = _fix_column_signs(vt.T).T
+    rows.flags.writeable = False
+    return rows[:r], rows[r:]
+
+
+def rank_of(M, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Numerical rank: the row count of ``row_space(M, tol)``'s basis."""
+    return row_space(M, tol)[0].shape[0]
 
 
 def orthonormal_complement(rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Complete orthonormal rows to a full orthonormal basis of R^N.
 
     Input is an r x N matrix with pairwise orthonormal rows (r <= N); the
-    result is the (N - r) x N block of new rows, chosen by pivoted
-    Gram-Schmidt against the standard basis (largest residual first, ties
-    to the lowest index) so the completion is deterministic.
+    result is the (N - r) x N block of new rows, the complement half of
+    ``row_space`` (an empty input completes to the identity).
     """
     R = np.asarray(rows, dtype=float)
     if R.ndim != 2:
@@ -186,29 +154,9 @@ def orthonormal_complement(rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if r and float(np.max(np.abs(R @ R.T - np.eye(r)))) > tol.eq_abs:
         raise NotOrthonormal("input rows are not orthonormal within eq_abs")
 
-    basis = [R[i] for i in range(r)]
-    added = []
-    remaining = list(range(n))
-    for _ in range(n - r):
-        B = np.array(basis) if basis else np.zeros((0, n))
-        cands = np.eye(n)[remaining]
-        residuals = cands - (cands @ B.T) @ B if len(basis) else cands
-        norms = np.linalg.norm(residuals, axis=1)
-        pick = int(np.argmax(norms))
-        if norms[pick] <= 1e-8:
-            raise NotOrthonormal("could not complete basis; input nearly rank-deficient")
-        v = residuals[pick]
-        # Second orthogonalization pass keeps the basis orthonormal to
-        # machine precision even for nearly parallel residuals.
-        if len(basis):
-            v = v - (v @ B.T) @ B
-        v = v / np.linalg.norm(v)
-        basis.append(v)
-        added.append(v)
-        remaining.pop(pick)
-    out = np.array(added) if added else np.zeros((0, n))
-    full = np.vstack([R, out]) if out.size else R
-    if full.size and float(np.max(np.abs(full @ full.T - np.eye(n)))) > 1e-8:
+    out = row_space(R, tol)[1] if r else np.eye(n)
+    full = np.vstack([R, out])
+    if full.shape[0] != n or float(np.abs(full @ full.T - np.eye(n)).max(initial=0.0)) > 1e-8:
         raise VerificationError("completed basis failed the orthonormality check")
     out.flags.writeable = False
     return out

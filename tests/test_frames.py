@@ -282,16 +282,16 @@ class TestEtf:
         assert is_etf(simplex_etf(3))
 
     def test_route_disagreement_raises(self):
-        # nudge one simplex vector so tightness is lost at eq_abs while the
-        # system stays equiangular and at the Welch value within 1e-7: the
-        # structural and Welch-equality routes then disagree
+        # nudge x0 by 5e-9 along (x1 - x2)/||x1 - x2||, which is orthogonal
+        # to x0: |<x0, x1>| and |<x0, x2>| move apart by about 8e-9, inside
+        # neighbor_abs, while S moves by about 4e-9, beyond eq_abs.  The system
+        # stays equiangular and at the Welch value within 1e-7 but is not
+        # tight, so the structural and Welch-equality routes disagree
         from framecore.errors import InconsistentVerdict
 
         V = simplex_etf(3).vectors.copy()
-        w = np.array([1.0, 0.0, 0.0])
-        w = w - (w @ V[0]) * V[0]
-        w = w / np.linalg.norm(w)
-        V[0] = V[0] + 3e-8 * w
+        w = (V[1] - V[2]) / np.linalg.norm(V[1] - V[2])
+        V[0] = V[0] + 5e-9 * w
         V[0] = V[0] / np.linalg.norm(V[0])
         boundary = UnitVectorSystem.from_vectors(V)
         assert not tightness(boundary).tight

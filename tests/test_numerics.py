@@ -17,6 +17,7 @@ from framecore.numerics import (
     nnls_cone_feasible,
     orthonormal_complement,
     rank_of,
+    row_space,
     sym_eig,
 )
 from helpers import grid_min_norm
@@ -55,6 +56,13 @@ class TestSymEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(NotSymmetric):
+            sym_eig(np.ones((2, 3)))
+
+    def test_zero_matrix(self):
+        spec = sym_eig(np.zeros((3, 3)))
+        assert np.array_equal(spec.eigenvalues, np.zeros(3))
+        assert np.max(np.abs(spec.eigenvectors.T @ spec.eigenvectors - np.eye(3))) <= 1e-15
 
     def test_rejects_nonfinite(self):
         with pytest.raises(NonFinite):
@@ -84,13 +92,27 @@ class TestSymEig:
         assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
 
 
+def _first_entries_positive(rows):
+    """Each row's first entry above 1e-12 in magnitude is positive."""
+    for row in rows:
+        nz = np.flatnonzero(np.abs(row) > 1e-12)
+        assert nz.size and row[nz[0]] > 0.0
+
+
 class TestSymEigOracle:
-    """sym_eig against LAPACK's scipy.linalg.eigh, an independent solver."""
+    """sym_eig against scipy.linalg.eigh.
+
+    Both run LAPACK, so beyond agreement these pin what sym_eig adds on
+    top: descending order and the sign convention (the input checks are in
+    TestSymEig).
+    """
 
     @staticmethod
     def _compare(S):
         linalg = pytest.importorskip("scipy.linalg")
         spec = sym_eig(S)
+        assert np.all(np.diff(spec.eigenvalues) <= 0.0)
+        _first_entries_positive(spec.eigenvectors.T)
         ref_values, ref_vectors = linalg.eigh(S)
         ref_values, ref_vectors = ref_values[::-1], ref_vectors[:, ::-1]
         scale = float(np.max(np.abs(ref_values)))
@@ -145,6 +167,46 @@ class TestRank:
             assert rank_of(M[perm]) == base
             Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             assert rank_of(M @ Q) == base
+
+
+class TestRowSpace:
+    @staticmethod
+    def _low_rank(rng, m, n, r):
+        return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_projectors_match_scipy(self, seed):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(1300 + seed)
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        for r in range(min(m, n) + 1):  # r = 0 is the zero matrix
+            M = self._low_rank(rng, m, n, r)
+            basis, complement = row_space(M)
+            assert basis.shape == (r, n) and complement.shape == (n - r, n)
+            span, null = linalg.orth(M.T), linalg.null_space(M)
+            assert np.max(np.abs(basis.T @ basis - span @ span.T)) <= 1e-9
+            assert np.max(np.abs(complement.T @ complement - null @ null.T)) <= 1e-9
+            full = np.vstack([basis, complement])
+            assert np.max(np.abs(full @ full.T - np.eye(n))) <= 1e-12
+            _first_entries_positive(full)
+
+    def test_threshold_is_on_squared_singular_values(self):
+        # sigma^2 = 1, 1e-8, 1e-12 against rank_rel = 1e-10: only the last drops
+        basis, complement = row_space(np.diag([1.0, 1e-4, 1e-6]))
+        assert basis.shape[0] == 2 and rank_of(np.diag([1.0, 1e-4, 1e-6])) == 2
+        assert np.allclose(np.abs(complement), [[0.0, 0.0, 1.0]], atol=1e-15)
+
+    def test_repeat_calls_are_bit_identical_and_read_only(self):
+        rng = np.random.default_rng(77)
+        M = self._low_rank(rng, 7, 5, 3)
+        S = M.T @ M
+        first, second = sym_eig(S), sym_eig(S)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.eigenvectors, second.eigenvectors)
+        (b1, c1), (b2, c2) = row_space(M), row_space(M)
+        assert np.array_equal(b1, b2) and np.array_equal(c1, c2)
+        for arr in (first.eigenvalues, first.eigenvectors, b1, c1):
+            assert not arr.flags.writeable
 
 
 class TestOrthonormalComplement:

@@ -1,4 +1,5 @@
-"""Property tests: verdicts follow row permutations and sign flips, and the core is a fixed point."""
+"""Property tests: verdicts follow row permutations and sign flips, ignore
+orthogonal rotations, and the core is a fixed point."""
 
 import numpy as np
 import pytest
@@ -73,6 +74,25 @@ def test_verdicts_follow_permutation_and_sign_flips(case):
     assert [v.status for v in isolable_set(moved).verdicts] == [statuses[p] for p in perm]
     drop_one = drop_one_spanning(system)
     assert drop_one_spanning(moved) == tuple(drop_one[p] for p in perm)
+
+
+@st.composite
+def frames_with_rotation(draw):
+    system = draw(small_frames())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q, _ = np.linalg.qr(rng.standard_normal((system.dim, system.dim)))
+    return system, UnitVectorSystem.from_vectors(system.vectors @ Q)
+
+
+@PROPERTY
+@given(frames_with_rotation())
+def test_verdicts_and_core_ignore_rotation(case):
+    system, rotated = case
+    assert [v.status for v in isolable_set(rotated).verdicts] == [
+        v.status for v in isolable_set(system).verdicts
+    ]
+    assert drop_one_spanning(rotated) == drop_one_spanning(system)
+    assert core(rotated).core == core(system).core
 
 
 @PROPERTY
