@@ -34,7 +34,6 @@ from .frames import (
     neighbor_count_report,
     reconstruct,
     spans,
-    spectral_data,
     tightness,
     welch_bound,
 )
@@ -282,8 +281,8 @@ def _cmd_catalog(args) -> int:
 def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
     """Invariant suite for one system; FAIL entries make `check` exit 4.
 
-    The Gram matrix, the frame-operator spectrum and the spanning flag are
-    computed once and shared by the checks that need them.
+    The Gram matrix, the frame operator and its spectrum are computed once
+    and kept on the system; the spanning flag is computed once here.
     """
     m, n = system.size, system.dim
     checks: list[dict] = []
@@ -291,8 +290,7 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
     def add(name: str, status: str, detail: str) -> None:
         checks.append({"name": name, "status": status, "detail": detail})
 
-    gm = gram(system)
-    spec = spectral_data(system, tol)
+    alpha = gram(system).coherence
     spanning = spans(system, tol=tol)
     add("unit_norms", "PASS", "validated on load" + (
         f" ({'; '.join(system.warnings)})" if system.warnings else ""
@@ -308,11 +306,11 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
 
     if m > n and spanning:
         w = welch_bound(m, n)
-        ok = gm.coherence >= w - 1e-9
+        ok = alpha >= w - 1e-9
         add(
             "welch_inequality",
             "PASS" if ok else "FAIL",
-            f"coherence {gm.coherence!r} vs welch {w!r} (slack 1e-9)",
+            f"coherence {alpha!r} vs welch {w!r} (slack 1e-9)",
         )
     else:
         add("welch_inequality", "SKIP", "needs m > n and a spanning system")
@@ -333,7 +331,7 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
     else:
         add("etf_route_consistency", "SKIP", "needs m >= 2")
 
-    for name, status, detail in neighbor_count_report(system, tol, gram_matrix=gm).checks:
+    for name, status, detail in neighbor_count_report(system, tol).checks:
         add(f"neighbor_counts.{name}", status, detail)
 
     if spanning:
@@ -350,14 +348,14 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
     else:
         add("reconstruction_identity", "SKIP", "system does not span")
 
-    eig = eigen_span_diagnostic(system, tol, spectrum=spec, gram_matrix=gm)
+    eig = eigen_span_diagnostic(system, tol)
     add("eigen_span", eig.status, eig.detail)
 
     diag = tight_grassmannian_diagnostic(system, tol)
     add(diag.name, diag.status, diag.detail)
 
-    trace = core(system, tol, gram_matrix=gm)
-    for name, status, detail in validate_core(system, trace, tol, gram_matrix=gm).checks:
+    trace = core(system, tol)
+    for name, status, detail in validate_core(system, trace, tol).checks:
         add(f"core_validation.{name}", status, detail)
 
     return checks

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateComplement, NotScalable, VerificationError
-from .frames import UnitVectorSystem, frame_operator, gram, welch_bound
-from .numerics import DEFAULT_TOL, Tolerances, orthonormal_complement, sym_eig
+from .frames import UnitVectorSystem, gram, spectral_data, welch_bound
+from .numerics import DEFAULT_TOL, Tolerances, orthonormal_complement
 
 
 def circular_frame(m: int) -> UnitVectorSystem:
@@ -94,7 +94,7 @@ def tight_completion(
     sqrt(lambda - lambda_j) e_j is added.  The added vectors are generally
     not unit norm.  Returns (Z, lambda) with Z of shape (n - k, n).
     """
-    spec = sym_eig(frame_operator(system), tol)
+    spec = spectral_data(system)
     lam = float(spec.eigenvalues[0])
     rows = []
     for j in range(system.dim):
@@ -122,7 +122,7 @@ def naimark_complement(
     basis) and DegenerateComplement when m = k.
     """
     m, n = system.size, system.dim
-    spec = sym_eig(frame_operator(system), tol)
+    spec = spectral_data(system)
     lam = float(spec.eigenvalues[0])
     k = spec.top_multiplicity(tol.eq_abs)
     if lam <= 1.0 + tol.eq_abs:
@@ -141,7 +141,7 @@ def naimark_complement(
     if float(np.max(np.abs(norms - 1.0))) > 1e-8:
         raise VerificationError("complement vectors failed the unit-norm check")
     GY = Y @ Y.T
-    GX = system.vectors @ system.vectors.T
+    GX = gram(system).entries
     mask = ~np.eye(m, dtype=bool)
     relation = np.max(np.abs(GY[mask] * (1.0 - lam) - GX[mask]))
     if float(relation) > 1e-8:

@@ -35,22 +35,19 @@ from .errors import (
     VerificationError,
 )
 from .frames import (
-    GramMatrix,
     NeighborSet,
     UnitVectorSystem,
-    frame_operator,
     gram,
     neighbors,
+    spectral_data,
     tightness,
 )
 from .numerics import (
     DEFAULT_TOL,
-    SpectralData,
     Tolerances,
     nnls_cone_feasible,
     rank_of,
     row_space,
-    sym_eig,
 )
 
 ISOLATED = "isolated"
@@ -183,11 +180,7 @@ def _deficiency_witness(x: np.ndarray, complement: np.ndarray) -> np.ndarray:
 
 
 def classify_vector(
-    system: UnitVectorSystem,
-    i: int,
-    tol: Tolerances = DEFAULT_TOL,
-    gram_matrix: GramMatrix | None = None,
-    validate: bool = True,
+    system: UnitVectorSystem, i: int, tol: Tolerances = DEFAULT_TOL
 ) -> VectorVerdict:
     """Classify vector i as isolated / deficient / isolable / not isolable.
 
@@ -204,7 +197,7 @@ def classify_vector(
     """
     if not 0 <= i < system.size:
         raise ShapeError(f"index {i} out of range")
-    gm = gram_matrix or gram(system)
+    gm = gram(system)
     alpha = gm.coherence
     warnings = tuple(_near_tie_warnings(gm.entries[i], i, alpha, tol))
 
@@ -219,7 +212,7 @@ def classify_vector(
             warnings=warnings + ("coherence is zero within tolerance; nothing is isolable",),
         )
 
-    nb = neighbors(system, i, alpha, tol, gram_matrix=gm)
+    nb = neighbors(system, i, alpha, tol)
     n = system.dim
     count = len(nb.indices)
 
@@ -253,7 +246,7 @@ def classify_vector(
             status = ISOLABLE
             witness = result.certificate / np.linalg.norm(result.certificate)
 
-    if validate and status in (ISOLABLE, DEFICIENT_ISOLABLE):
+    if status in (ISOLABLE, DEFICIENT_ISOLABLE):
         others = np.delete(system.vectors, i, axis=0)
         try:
             _perturb_search(others, system.vectors[i], witness, alpha, tol)
@@ -315,20 +308,13 @@ class IsolableSet:
     warnings: tuple[str, ...]
 
 
-def isolable_set(
-    system: UnitVectorSystem,
-    tol: Tolerances = DEFAULT_TOL,
-    gram_matrix: GramMatrix | None = None,
-) -> IsolableSet:
+def isolable_set(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> IsolableSet:
     """Indices of all isolated, deficient, and otherwise isolable vectors.
 
     Indeterminate vectors are listed separately and excluded; removing a
     vector on uncertain evidence could empty a genuine core.
     """
-    gm = gram_matrix or gram(system)
-    verdicts = tuple(
-        classify_vector(system, i, tol, gram_matrix=gm) for i in range(system.size)
-    )
+    verdicts = tuple(classify_vector(system, i, tol) for i in range(system.size))
     indices = tuple(v.index for v in verdicts if v.isolable)
     indeterminate = tuple(v.index for v in verdicts if v.status == INDETERMINATE)
     warnings = []
@@ -456,7 +442,6 @@ class CoreTrace:
 def core(
     system: UnitVectorSystem,
     tol: Tolerances = DEFAULT_TOL,
-    gram_matrix: GramMatrix | None = None,
     level0: IsolableSet | None = None,
 ) -> CoreTrace:
     """Iteratively strip isolable vectors until a fixed point remains.
@@ -469,8 +454,7 @@ def core(
     Level 0 is the whole system, so a precomputed ``isolable_set(system)``
     can be passed as ``level0``.
     """
-    gm0 = gram_matrix or gram(system)
-    alpha0 = gm0.coherence
+    alpha0 = gram(system).coherence
     current = tuple(range(system.size))
     levels: list[CoreLevel] = []
     warnings: list[str] = []
@@ -482,7 +466,7 @@ def core(
             break
         if not levels:
             coh = alpha0
-            info = level0 or isolable_set(system, tol, gram_matrix=gm0)
+            info = level0 or isolable_set(system, tol)
         else:
             sub = system.restrict(current)
             coh = gram(sub).coherence
@@ -511,10 +495,7 @@ class CoreValidation:
 
 
 def validate_core(
-    system: UnitVectorSystem,
-    trace: CoreTrace,
-    tol: Tolerances = DEFAULT_TOL,
-    gram_matrix: GramMatrix | None = None,
+    system: UnitVectorSystem, trace: CoreTrace, tol: Tolerances = DEFAULT_TOL
 ) -> CoreValidation:
     """Check the structural guarantees of the core of a genuine minimizer.
 
@@ -526,7 +507,7 @@ def validate_core(
     """
     n = system.dim
     checks: list[tuple[str, str, str]] = []
-    alpha0 = (gram_matrix or gram(system)).coherence
+    alpha0 = gram(system).coherence
     if alpha0 <= tol.neighbor_abs:
         full = trace.core == tuple(range(system.size))
         checks.append(
@@ -554,10 +535,10 @@ def validate_core(
         return CoreValidation(tuple(checks))
 
     sub = system.restrict(trace.core)
-    gm = gram(sub)
+    alpha = gram(sub).coherence
     failures = []
     for local in range(sub.size):
-        nb = neighbors(sub, local, gm.coherence, tol, gram_matrix=gm)
+        nb = neighbors(sub, local, alpha, tol)
         if not nb.indices or rank_of(sub.vectors[list(nb.indices)], tol) < n:
             failures.append(trace.core[local])
     span_ok = not failures
@@ -686,29 +667,24 @@ class EigenSpanReport:
 
 
 def eigen_span_diagnostic(
-    system: UnitVectorSystem,
-    tol: Tolerances = DEFAULT_TOL,
-    spectrum: SpectralData | None = None,
-    gram_matrix: GramMatrix | None = None,
+    system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL
 ) -> EigenSpanReport:
     """Check that the top eigenvector lies in span({x} union neighbors of x).
 
     Holds for coherence minimizers whose top eigenvalue is extremal; with a
     degenerate top eigenvalue the statement picks one particular
     eigenvector, so the check reports distances for each candidate and is
-    labeled AMBIGUOUS instead of pass/fail.  ``spectrum`` and
-    ``gram_matrix`` are the precomputed ``spectral_data(system, tol)`` and
-    ``gram(system)``.
+    labeled AMBIGUOUS instead of pass/fail.
     """
     m, n = system.size, system.dim
     if m <= n:
         return EigenSpanReport("SKIP", 0, (), "needs m > n")
-    spec = spectrum or sym_eig(frame_operator(system), tol)
+    spec = spectral_data(system)
     k = spec.top_multiplicity(tol.eq_abs)
-    gm = gram_matrix or gram(system)
+    alpha = gram(system).coherence
     per_vector: list[tuple[float, ...]] = []
     for i in range(m):
-        nb = neighbors(system, i, gm.coherence, tol, gram_matrix=gm)
+        nb = neighbors(system, i, alpha, tol)
         rows = system.vectors[[i] + list(nb.indices)]
         basis = row_space(rows, tol)[0]
         dists = []

@@ -4,13 +4,17 @@ The central object is :class:`UnitVectorSystem`: m unit vectors in R^n,
 stored one per row.  On top of it live the Gram matrix and coherence, the
 level-alpha neighbor sets, the frame operator with its spectrum, tightness
 and equiangularity predicates, the Welch/orthoplex/Gerzon bound card, and
-frame reconstruction.
+frame reconstruction.  The Gram matrix, the frame operator and its
+spectrum are computed once per system, on first use, and kept on it, so
+every stage that reads them through ``gram``, ``frame_operator`` and
+``spectral_data`` shares the same read-only arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +34,14 @@ RENORM_LIMIT = 1e-6
 
 @dataclass(frozen=True)
 class UnitVectorSystem:
-    """An ordered system of m unit vectors in R^n (rows of ``vectors``)."""
+    """An ordered system of m unit vectors in R^n (rows of ``vectors``).
+
+    ``from_vectors`` and ``restrict`` make ``vectors`` read-only, so the
+    data derived from it never goes stale: the Gram matrix, the frame
+    operator and its spectrum are computed on first use and kept on the
+    system (read them through ``gram``, ``frame_operator`` and
+    ``spectral_data``).  A restricted subsystem computes its own.
+    """
 
     vectors: np.ndarray
     labels: tuple[str, ...] | None = None
@@ -86,6 +97,35 @@ class UnitVectorSystem:
         sub.flags.writeable = False
         labels = tuple(self.labels[i] for i in idx) if self.labels else None
         return UnitVectorSystem(sub, labels, ())
+
+    @cached_property
+    def _gram(self) -> GramMatrix:
+        V = self.vectors
+        G = V @ V.T
+        G = 0.5 * (G + G.T)
+        m = G.shape[0]
+        if m == 1:
+            coherence = 0.0
+        else:
+            off = np.abs(G - np.diag(np.diag(G)))
+            # Rounding can push |<x, y>| of (near-)parallel unit vectors past 1.
+            coherence = min(float(off.max()), 1.0)
+        G.flags.writeable = False
+        return GramMatrix(G, coherence)
+
+    @cached_property
+    def _frame_operator(self) -> np.ndarray:
+        V = self.vectors
+        S = V.T @ V
+        S = 0.5 * (S + S.T)
+        S.flags.writeable = False
+        return S
+
+    @cached_property
+    def _spectrum(self) -> SpectralData:
+        # S is exactly symmetric, so sym_eig's symmetry check cannot fail
+        # and the result does not depend on the tolerances.
+        return sym_eig(self._frame_operator)
 
 
 @dataclass(frozen=True)
@@ -144,19 +184,8 @@ def welch_bound(m: int, n: int) -> float:
 
 
 def gram(system: UnitVectorSystem) -> GramMatrix:
-    """Gram matrix and coherence of the system."""
-    V = system.vectors
-    G = V @ V.T
-    G = 0.5 * (G + G.T)
-    m = G.shape[0]
-    if m == 1:
-        coherence = 0.0
-    else:
-        off = np.abs(G - np.diag(np.diag(G)))
-        # Rounding can push |<x, y>| of (near-)parallel unit vectors past 1.
-        coherence = min(float(off.max()), 1.0)
-    G.flags.writeable = False
-    return GramMatrix(G, coherence)
+    """Gram matrix and coherence of the system (computed once per system)."""
+    return system._gram
 
 
 def neighbors(
@@ -180,17 +209,13 @@ def neighbors(
 
 
 def frame_operator(system: UnitVectorSystem) -> np.ndarray:
-    """S = sum_i x_i x_i^T, an n x n positive semidefinite matrix."""
-    V = system.vectors
-    S = V.T @ V
-    S = 0.5 * (S + S.T)
-    S.flags.writeable = False
-    return S
+    """S = sum_i x_i x_i^T, n x n positive semidefinite; computed once per system."""
+    return system._frame_operator
 
 
-def spectral_data(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
-    """Spectrum of the frame operator (descending, orthonormal columns)."""
-    return sym_eig(frame_operator(system), tol)
+def spectral_data(system: UnitVectorSystem) -> SpectralData:
+    """Spectrum of S (descending, orthonormal columns); computed once per system."""
+    return system._spectrum
 
 
 def spans(system: UnitVectorSystem, omit=None, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -207,9 +232,7 @@ def spans(system: UnitVectorSystem, omit=None, tol: Tolerances = DEFAULT_TOL) ->
 
 
 def drop_one_spanning(
-    system: UnitVectorSystem,
-    tol: Tolerances = DEFAULT_TOL,
-    spectrum: SpectralData | None = None,
+    system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, ...]:
     """``spans(system, omit={j})`` for every j, from the spectrum of S.
 
@@ -237,12 +260,11 @@ def drop_one_spanning(
     in S induces in S^-1.  A vector whose bounds straddle the threshold,
     and every vector when S itself is not clearly spanning (so no leverage
     score divides by a vanishing eigenvalue), is decided by ``spans``.
-    ``spectrum`` is the precomputed ``spectral_data(system, tol)``.
     """
     m, n = system.size, system.dim
     if m < 2:
         raise ShapeError("omission leaves no vectors")
-    spec = spectrum or spectral_data(system, tol)
+    spec = spectral_data(system)
     top, low = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
     slack = 64.0 * n * np.finfo(float).eps * top
     if low <= tol.rank_rel * top + slack:
@@ -360,7 +382,7 @@ def reconstruct(
     verdict = tightness(system, tol)
     if verdict.tight:
         return synthesized / verdict.bound
-    spec = sym_eig(frame_operator(system), tol)
+    spec = spectral_data(system)
     comps = spec.eigenvectors.T @ synthesized
     return spec.eigenvectors @ (comps / spec.eigenvalues)
 
@@ -375,9 +397,7 @@ class NeighborCountReport:
 
 
 def neighbor_count_report(
-    system: UnitVectorSystem,
-    tol: Tolerances = DEFAULT_TOL,
-    gram_matrix: GramMatrix | None = None,
+    system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL
 ) -> NeighborCountReport:
     """Counts |x_X^alpha| at alpha = coherence, plus parity diagnostics.
 
@@ -386,12 +406,9 @@ def neighbor_count_report(
     frame, so a FAIL means the input or the tolerances are inconsistent.
     When the two ETF routes disagree the parity checks are skipped.
     """
-    gm = gram_matrix or gram(system)
-    alpha = gm.coherence
+    alpha = gram(system).coherence
     m = system.size
-    counts = tuple(
-        len(neighbors(system, i, alpha, tol, gram_matrix=gm).indices) for i in range(m)
-    )
+    counts = tuple(len(neighbors(system, i, alpha, tol).indices) for i in range(m))
     checks = []
     try:
         tight_non_etf = m >= 2 and tightness(system, tol).tight and not is_etf(system, tol)

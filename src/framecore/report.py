@@ -95,10 +95,10 @@ def build_analysis_report(
 ) -> dict:
     """Full machine-readable analysis of one system (fixed key order).
 
-    Each stage runs once: the Gram matrix and the frame-operator spectrum
-    are computed here and handed to the stages that need them, and the
-    level-0 verdicts are reused as level 0 of the core.  When the two ETF
-    routes disagree, ``etf`` is null and the disagreement is a warning.
+    Each stage runs once: the Gram matrix, the frame operator and its
+    spectrum are computed once and kept on the system, and the level-0
+    verdicts are reused as level 0 of the core.  When the two ETF routes
+    disagree, ``etf`` is null and the disagreement is a warning.
     """
     m, n = system.size, system.dim
     gm = gram(system)
@@ -106,7 +106,7 @@ def build_analysis_report(
 
     card = bounds_card(system, tol)
     tight = tightness(system, tol)
-    spec = spectral_data(system, tol)
+    spec = spectral_data(system)
 
     if m >= 2:
         equi_flag, equi_angle = is_equiangular(system, tol)
@@ -118,12 +118,12 @@ def build_analysis_report(
     else:
         equi_flag, equi_angle, etf_flag = None, None, None
 
-    info = isolable_set(system, tol, gram_matrix=gm)
-    trace = core(system, tol, gram_matrix=gm, level0=info)
-    core_checks = validate_core(system, trace, tol, gram_matrix=gm)
+    info = isolable_set(system, tol)
+    trace = core(system, tol, level0=info)
+    core_checks = validate_core(system, trace, tol)
 
     if m > n:
-        drop_one = list(drop_one_spanning(system, tol, spectrum=spec))
+        drop_one = list(drop_one_spanning(system, tol))
         drop_status = "PASS" if all(drop_one) else "FAIL"
         drop_detail = (
             "every single-vector deletion leaves a spanning set"
@@ -135,8 +135,8 @@ def build_analysis_report(
         drop_status = "SKIP"
         drop_detail = "needs m > n"
 
-    counts = neighbor_count_report(system, tol, gram_matrix=gm)
-    eig_span = eigen_span_diagnostic(system, tol, spectrum=spec, gram_matrix=gm)
+    counts = neighbor_count_report(system, tol)
+    eig_span = eigen_span_diagnostic(system, tol)
     tight_diag = tight_grassmannian_diagnostic(system, tol)
 
     report = {

@@ -508,7 +508,7 @@ class TestClassificationProperties:
                 continue
             for i in range(m):
                 nb = neighbors(X, i, gm.coherence, tol, gram_matrix=gm)
-                verdict = classify_vector(X, i, tol, gram_matrix=gm)
+                verdict = classify_vector(X, i, tol)
                 if not nb.indices:
                     assert verdict.status == ISOLATED
                 assert verdict.status != NOT_ISOLABLE or nb.indices
@@ -669,7 +669,7 @@ class TestConeStageOracle:
             alpha = gm.coherence
             n = X.dim
             for i in range(X.size):
-                v = classify_vector(X, i, tol, gram_matrix=gm)
+                v = classify_vector(X, i, tol)
                 assert v.status != INDETERMINATE
                 if v.status not in outcomes:
                     continue

@@ -1,5 +1,6 @@
 """Tests for the frame model: Gram, neighbors, tightness, bounds, reconstruction."""
 
+import functools
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from framecore import (
     UnitVectorSystem,
     bounds_card,
+    build_analysis_report,
     circular_frame,
     double,
     drop_one_spanning,
@@ -17,6 +19,7 @@ from framecore import (
     is_equiangular,
     is_etf,
     mub_r2,
+    naimark_complement,
     neighbor_count_report,
     neighbors,
     reconstruct,
@@ -28,6 +31,7 @@ from framecore import (
     welch_bound,
 )
 from framecore import frames
+from framecore.cli import run_check_suite
 from framecore.errors import NormError, NotAFrame, ShapeError
 from helpers import random_unit_system, tripod_example
 
@@ -153,6 +157,69 @@ class TestFrameOperator:
             assert abs(np.trace(frame_operator(sys_)) - m) <= 1e-8 * m
 
 
+class TestDerivedData:
+    """Gram matrix, frame operator and spectrum are computed once per system."""
+
+    @staticmethod
+    def _systems():
+        return [six_in_r4(), random_unit_system(np.random.default_rng(30), 30, 5)]
+
+    def test_cached_per_system(self):
+        for X in self._systems():
+            assert gram(X) is gram(X)
+            assert frame_operator(X) is frame_operator(X)
+            assert spectral_data(X) is spectral_data(X)
+            idx = [4, 0, 2]
+            sub = X.restrict(idx)
+            assert gram(sub) is not gram(X)
+            assert gram(sub) is gram(sub)
+            ref = gram(X).entries[np.ix_(idx, idx)]
+            assert np.max(np.abs(gram(sub).entries - ref)) <= 1e-15
+
+    def test_cached_arrays_are_read_only(self):
+        X = six_in_r4()
+        spec = spectral_data(X)
+        for arr in (gram(X).entries, frame_operator(X), spec.eigenvalues, spec.eigenvectors):
+            with pytest.raises(ValueError):
+                arr[0, ...] = 0.0
+
+    @staticmethod
+    def _count(monkeypatch, system):
+        """Counters of Gram computations of ``system`` and of every eigh call."""
+        grams, eighs = [], []
+        compute = UnitVectorSystem._gram.func
+
+        def counted_gram(self):
+            if self is system:
+                grams.append(1)
+            return compute(self)
+
+        prop = functools.cached_property(counted_gram)
+        prop.__set_name__(UnitVectorSystem, "_gram")
+        monkeypatch.setattr(UnitVectorSystem, "_gram", prop)
+        eigh = np.linalg.eigh
+
+        def counted_eigh(*args, **kwargs):
+            eighs.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        return grams, eighs
+
+    @pytest.mark.parametrize(
+        "run",
+        [build_analysis_report, run_check_suite, naimark_complement],
+        ids=["analyze", "check", "naimark"],
+    )
+    def test_one_computation_per_stage(self, monkeypatch, run):
+        # restricted subsystems (core levels, core validation) are not counted
+        for X in self._systems():
+            with monkeypatch.context() as mp:
+                grams, eighs = self._count(mp, X)
+                run(X, frames.DEFAULT_TOL)
+            assert (len(grams), len(eighs)) == (1, 1)
+
+
 class TestSpans:
     def test_six_vector_drop_each_single(self):
         six = six_in_r4()
@@ -235,7 +302,9 @@ class TestDropOneSpanning:
 
     def test_spectrum_argument_and_size_check(self):
         six = six_in_r4()
-        assert drop_one_spanning(six, spectrum=spectral_data(six)) == (True,) * 6
+        spec = spectral_data(six)
+        assert drop_one_spanning(six) == (True,) * 6
+        assert spectral_data(six) is spec
         with pytest.raises(ShapeError):
             drop_one_spanning(UnitVectorSystem.from_vectors([[1.0, 0.0]]))
 
