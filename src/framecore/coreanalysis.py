@@ -63,25 +63,33 @@ ISOLABLE_STATUSES = (ISOLATED, DEFICIENT_ISOLABLE, ISOLABLE)
 class VectorVerdict:
     """Classification of one vector with its witness or certificate.
 
-    ``witness`` (isolable statuses) is a unit direction orthogonal to the
-    vector along which perturbation strictly lowers all its inner products
-    below the coherence.  ``certificate`` (not-isolable, cone stage) holds
-    one weight lambda_y >= 1 per neighbor with ||sum_y lambda_y u_y|| <=
-    hull_abs over the projected signed neighbors u_y, i.e. a positive-
-    spanning certificate.
+    ``neighbors`` are the indices y of the vector's level-alpha neighbors
+    and ``signs`` the signs s_y of <x, y>, in the order of
+    ``frames.neighbors``; u_y = s_y y - s_y <x, y> x is the projected
+    signed neighbor.  ``witness`` (isolable statuses) is a unit direction
+    orthogonal to the vector along which perturbation strictly lowers all
+    its inner products below the coherence.  ``certificate`` (not-isolable,
+    cone stage) holds one weight lambda_y >= 1 per neighbor, indexed like
+    ``neighbors``, with ||sum_y lambda_y u_y|| <= hull_abs, i.e. a
+    positive-spanning certificate.
     """
 
     index: int
     status: str
     witness: np.ndarray | None = None
     certificate: np.ndarray | None = None
-    neighbor_count: int = 0
+    neighbors: tuple[int, ...] = ()
+    signs: tuple[float, ...] = ()
     neighbor_rank: int = 0
     warnings: tuple[str, ...] = ()
 
     @property
     def isolable(self) -> bool:
         return self.status in ISOLABLE_STATUSES
+
+    @property
+    def neighbor_count(self) -> int:
+        return len(self.neighbors)
 
 
 def _near_tie_warnings(row: np.ndarray, i: int, alpha: float, tol: Tolerances) -> list[str]:
@@ -201,23 +209,23 @@ def classify_vector(
     alpha = gm.coherence
     warnings = tuple(_near_tie_warnings(gm.entries[i], i, alpha, tol))
 
+    nb = neighbors(system, i, alpha, tol)
     if alpha <= tol.neighbor_abs:
         # Coherence-zero convention: replacement cannot strictly beat an
-        # already orthogonal system.
+        # already orthogonal system.  Every other vector is a neighbor.
         return VectorVerdict(
             i,
             NOT_ISOLABLE,
-            neighbor_count=system.size - 1 if system.size > 1 else 0,
+            neighbors=nb.indices,
+            signs=nb.signs,
             neighbor_rank=min(system.size - 1, system.dim),
             warnings=warnings + ("coherence is zero within tolerance; nothing is isolable",),
         )
 
-    nb = neighbors(system, i, alpha, tol)
     n = system.dim
-    count = len(nb.indices)
 
-    if count == 0:
-        return VectorVerdict(i, ISOLATED, neighbor_count=0, neighbor_rank=0, warnings=warnings)
+    if not nb.indices:
+        return VectorVerdict(i, ISOLATED, warnings=warnings)
 
     span_basis, complement = row_space(system.vectors[list(nb.indices)], tol)
     nb_rank = span_basis.shape[0]
@@ -235,7 +243,8 @@ def classify_vector(
             return VectorVerdict(
                 i,
                 INDETERMINATE,
-                neighbor_count=count,
+                neighbors=nb.indices,
+                signs=nb.signs,
                 neighbor_rank=nb_rank,
                 warnings=warnings + (f"iteration limit during cone analysis: {exc}",),
             )
@@ -254,7 +263,8 @@ def classify_vector(
             return VectorVerdict(
                 i,
                 INDETERMINATE,
-                neighbor_count=count,
+                neighbors=nb.indices,
+                signs=nb.signs,
                 neighbor_rank=nb_rank,
                 warnings=warnings + (f"constructive validation failed: {exc}",),
             )
@@ -264,7 +274,8 @@ def classify_vector(
         status,
         witness=witness,
         certificate=certificate,
-        neighbor_count=count,
+        neighbors=nb.indices,
+        signs=nb.signs,
         neighbor_rank=nb_rank,
         warnings=warnings,
     )

@@ -77,15 +77,17 @@ def _as_matrix(values, name: str = "matrix") -> np.ndarray:
 
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its first non-negligible entry is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        pivot = nz[0] if nz.size else int(np.argmax(np.abs(col)))
-        if col[pivot] < 0.0:
-            out[:, j] = -col
-    return out
+    """Flip each column so its first non-negligible entry is positive.
+
+    The pivot is the first entry above 1e-12 in magnitude, or the largest
+    one in a column without such an entry.  The result is a C-ordered copy:
+    downstream products round differently on other memory layouts.
+    """
+    mag = np.abs(vectors)
+    big = mag > 1e-12
+    pivot = np.where(big.any(axis=0), np.argmax(big, axis=0), np.argmax(mag, axis=0))
+    flip = vectors[pivot, np.arange(vectors.shape[1])] < 0.0
+    return np.where(flip, -vectors, vectors).copy(order="C")
 
 
 def sym_eig(S, tol: Tolerances = DEFAULT_TOL) -> SpectralData:

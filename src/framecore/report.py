@@ -84,6 +84,8 @@ def verdict_dict(verdict) -> dict:
         "status": verdict.status,
         "neighbor_count": verdict.neighbor_count,
         "neighbor_rank": verdict.neighbor_rank,
+        "neighbors": list(verdict.neighbors),
+        "signs": [int(s) for s in verdict.signs],
         "witness": _vec(verdict.witness),
         "certificate": _vec(verdict.certificate),
         "warnings": list(verdict.warnings),
@@ -99,9 +101,14 @@ def build_analysis_report(
     spectrum are computed once and kept on the system, and the level-0
     verdicts are reused as level 0 of the core.  When the two ETF routes
     disagree, ``etf`` is null and the disagreement is a warning.
+
+    The report holds O(m n) numbers, not the m x m Gram matrix (that is
+    ``gram(system)``): each entry of ``vectors`` lists its level-alpha
+    ``neighbors`` with their ``signs`` in the order the certificate
+    weights use, so every certificate and witness can be checked from the
+    input rows and the report alone.
     """
     m, n = system.size, system.dim
-    gm = gram(system)
     warnings = list(system.warnings)
 
     card = bounds_card(system, tol)
@@ -146,8 +153,7 @@ def build_analysis_report(
             "labels": list(system.labels) if system.labels else None,
         },
         "tolerances": tolerances_dict(tol),
-        "coherence": _num(gm.coherence),
-        "gram": [[round15(float(v)) for v in row] for row in gm.entries],
+        "coherence": _num(gram(system).coherence),
         "bounds": {
             "welch": _num(card.welch),
             "orthoplex": _num(card.orthoplex),
@@ -222,17 +228,16 @@ def _fmt_value(v) -> str:
 
 
 def render_text(report: dict) -> str:
-    """Human-readable rendering of an analysis report."""
+    """Human-readable rendering of an analysis report.
+
+    Summary lines for each block of the report and one line per vector
+    verdict (status, neighbor count and rank); neighbor lists, witnesses
+    and certificates are left to the JSON report.
+    """
     lines = []
     inp = report["input"]
     lines.append(f"system: {inp['m']} unit vectors in R^{inp['n']}")
     lines.append(f"coherence: {_fmt_value(report['coherence'])}")
-    lines.append("gram matrix:")
-    width = max(
-        len(_fmt_value(v)) for row in report["gram"] for v in row
-    )
-    for row in report["gram"]:
-        lines.append("  " + "  ".join(_fmt_value(v).rjust(width) for v in row))
     b = report["bounds"]
     lines.append(
         "bounds: welch=" + _fmt_value(b["welch"])

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from framecore import (
+    Tolerances,
     UnitVectorSystem,
     build_analysis_report,
     circular_frame,
     emit_frame,
     emit_report,
     mub_r2,
+    neighbors,
     parse_frame,
     simplex_etf,
     six_in_r4,
@@ -22,6 +24,7 @@ from framecore.cli import run
 from framecore.errors import NormError, ParseError, ShapeError
 from framecore.frameio import parse_frame_with_overrides
 from framecore.report import render_text
+from helpers import basis_plus_diagonal, random_unit_system, tripod_example
 
 
 class TestParseFrame:
@@ -111,7 +114,7 @@ class TestReport:
         assert len(report["core"]["levels"]) == 1
         assert report["core"]["core"] == [0, 1, 2, 3, 4, 5]
 
-    def test_text_mode_renders_gram_of_mub(self):
+    def test_text_mode_renders_coherence_of_mub(self):
         report = build_analysis_report(mub_r2())
         text = render_text(report)
         assert "0.7071067812" in text
@@ -128,6 +131,89 @@ class TestReport:
         report = build_analysis_report(UnitVectorSystem.from_vectors([[1.0, 0.0]]))
         assert report["etf"] is None
         assert report["equiangular"]["equiangular"] is None
+
+
+def _json_report(system: UnitVectorSystem) -> dict:
+    return json.loads(emit_report(build_analysis_report(system)))
+
+
+class TestReportCertificates:
+    """Every certificate and witness checks out from the input rows and the report."""
+
+    @staticmethod
+    def _frames():
+        yield six_in_r4()
+        for n in range(2, 9):
+            yield simplex_etf(n)
+        yield basis_plus_diagonal()
+        yield tripod_example(0.5)
+        yield random_unit_system(np.random.default_rng(40), 40, 6)
+
+    def test_certificates_and_witnesses_from_the_report_alone(self):
+        statuses = set()
+        for system in self._frames():
+            rows = system.vectors
+            report = _json_report(system)
+            tol = Tolerances(**report["tolerances"])
+            for v in report["vectors"]:
+                i = v["index"]
+                statuses.add(v["status"])
+                nb = neighbors(system, i, report["coherence"], tol)
+                assert v["neighbors"] == list(nb.indices)
+                assert v["signs"] == list(nb.signs)
+                assert all(type(sign) is int and sign in (1, -1) for sign in v["signs"])
+                x, s = rows[i], np.array(v["signs"], dtype=float)
+                Y = rows[v["neighbors"]]
+                U = s[:, None] * Y - (s * (Y @ x))[:, None] * x  # u_y = s y - s<x,y> x
+                if v["status"] == "not_isolable":
+                    lam = np.array(v["certificate"])
+                    assert len(lam) == len(v["neighbors"])
+                    assert lam.min() >= 1.0
+                    assert np.linalg.norm(lam @ U) <= tol.hull_abs
+                if v["witness"] is not None:
+                    w = np.array(v["witness"])
+                    assert abs(w @ x) <= 1e-10
+                    assert np.all(U @ w <= 1e-10)
+                else:
+                    assert v["status"] not in ("isolable", "deficient_isolable")
+        assert statuses == {"isolated", "deficient_isolable", "isolable", "not_isolable"}
+
+
+class TestReportSchema:
+    def test_no_gram_matrix_in_json_or_text(self):
+        for system in (six_in_r4(), mub_r2(), circular_frame(5)):
+            report = build_analysis_report(system)
+            assert '"gram"' not in emit_report(report)
+            assert "gram matrix:" not in emit_report(report, "text")
+
+    def test_neighbor_count_is_the_length_of_neighbors(self):
+        orthonormal_r4 = UnitVectorSystem.from_vectors(np.eye(4))
+        singleton = UnitVectorSystem.from_vectors([[0.6, 0.8]])
+        cases = [
+            (orthonormal_r4, [3] * 4),
+            (singleton, [0]),
+            (six_in_r4(), [5] * 6),
+            (basis_plus_diagonal(), [1, 1, 1, 3]),
+        ]
+        for system, counts in cases:
+            verdicts = _json_report(system)["vectors"]
+            assert [v["neighbor_count"] for v in verdicts] == counts
+            for v in verdicts:
+                assert v["neighbor_count"] == len(v["neighbors"]) == len(v["signs"])
+
+    def test_report_size_is_linear_in_m(self):
+        system = random_unit_system(np.random.default_rng(12), 200, 12)
+        assert len(emit_report(build_analysis_report(system)).encode()) < 250_000
+
+    def test_classify_emits_the_report_verdicts(self, monkeypatch, capsys):
+        frame = emit_frame(six_in_r4())
+        code, out, _ = run_cli(monkeypatch, capsys, ["classify", "-"], stdin=frame)
+        assert code == 0
+        verdicts = json.loads(out)["verdicts"]
+        assert [v["neighbors"] for v in verdicts] == [
+            [j for j in range(6) if j != i] for i in range(6)
+        ]
+        assert verdicts == _json_report(parse_frame(frame))["vectors"]
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):

@@ -13,6 +13,7 @@ from framecore.errors import (
 from framecore.numerics import (
     DEFAULT_TOL,
     Tolerances,
+    _fix_column_signs,
     min_norm_point,
     nnls_cone_feasible,
     orthonormal_complement,
@@ -207,6 +208,46 @@ class TestRowSpace:
         assert np.array_equal(b1, b2) and np.array_equal(c1, c2)
         for arr in (first.eigenvalues, first.eigenvectors, b1, c1):
             assert not arr.flags.writeable
+
+
+def _fix_column_signs_loop(vectors):
+    """The per-column reference: flip so the first entry above 1e-12 is positive."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        pivot = nz[0] if nz.size else int(np.argmax(np.abs(col)))
+        if col[pivot] < 0.0:
+            out[:, j] = -col
+    return out
+
+
+class TestFixColumnSigns:
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(2024)
+        for shape in ((1, 1), (3, 3), (5, 2), (2, 7), (12, 12), (40, 9)):
+            yield rng.standard_normal(shape)
+        M = rng.standard_normal((6, 5))
+        M[:, 1] = 0.0  # all-zero column
+        M[:2, 2] = [1e-13, -5e-13]  # leading entries below 1e-12
+        M[:, 3] = [0.0, -1e-14, 3e-13, -7e-13, 0.0, 2e-13]  # nothing above 1e-12
+        M[:4, 4] = [-0.0, 0.0, -1e-12, 0.5]  # exactly 1e-12 is not above it
+        yield M
+        yield M[:, ::-1]  # reversed views, as sym_eig passes them
+        yield M[::-1]
+        yield np.asfortranarray(M)
+        yield M.T
+
+    def test_matches_the_loop_and_is_c_ordered(self):
+        for M in self._cases():
+            before = M.copy()
+            got = _fix_column_signs(M)
+            ref = _fix_column_signs_loop(M)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))  # -0.0 too
+            assert got.flags.c_contiguous
+            assert np.array_equal(M, before)
 
 
 class TestOrthonormalComplement:
