@@ -42,7 +42,7 @@ from .numerics import Tolerances
 from .report import (
     build_analysis_report,
     core_trace_dict,
-    emit_report,
+    render_text,
     tolerances_dict,
     verdict_dict,
 )
@@ -148,8 +148,7 @@ def _emit(args, report: dict, text_renderer) -> None:
 
 def _cmd_analyze(args) -> int:
     system, tol = _load(args)
-    report = build_analysis_report(system, tol)
-    _write(args, emit_report(report, args.format))
+    _emit(args, build_analysis_report(system, tol), render_text)
     return EXIT_OK
 
 
@@ -254,27 +253,21 @@ def _cmd_catalog(args) -> int:
     if args.n < 2 or args.m <= args.n:
         raise ValidationError(f"catalog needs m > n >= 2, got m={args.m}, n={args.n}")
     entries = constructions.angle_catalog(args.m, args.n)
-    if args.format == "text":
+    payload = {
+        "m": args.m,
+        "n": args.n,
+        "known": bool(entries),
+        "entries": [
+            {"kind": e.kind, "rule": e.rule, "value": round15(e.value)} for e in entries
+        ],
+    }
+
+    def text(rep: dict) -> str:
         if not entries:
-            _write(args, "unknown\n")
-        else:
-            _write(
-                args,
-                "".join(
-                    f"{e.kind} ({e.rule}): {e.value:.12g}\n" for e in entries
-                ),
-            )
-    else:
-        payload = {
-            "m": args.m,
-            "n": args.n,
-            "known": bool(entries),
-            "entries": [
-                {"kind": e.kind, "rule": e.rule, "value": round15(e.value)}
-                for e in entries
-            ],
-        }
-        _write(args, json.dumps(payload, indent=2) + "\n")
+            return "unknown\n"
+        return "".join(f"{e.kind} ({e.rule}): {e.value:.12g}\n" for e in entries)
+
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -282,7 +275,9 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
     """Invariant suite for one system; FAIL entries make `check` exit 4.
 
     The Gram matrix, the frame operator and its spectrum are computed once
-    and kept on the system; the spanning flag is computed once here.
+    and kept on the system; the spanning flag and the core trace are
+    computed once here, and the eigen-span and core-validation checks read
+    the trace's verdicts.
     """
     m, n = system.size, system.dim
     checks: list[dict] = []
@@ -348,13 +343,13 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
     else:
         add("reconstruction_identity", "SKIP", "system does not span")
 
-    eig = eigen_span_diagnostic(system, tol)
+    trace = core(system, tol)
+    eig = eigen_span_diagnostic(system, trace, tol)
     add("eigen_span", eig.status, eig.detail)
 
     diag = tight_grassmannian_diagnostic(system, tol)
     add(diag.name, diag.status, diag.detail)
 
-    trace = core(system, tol)
     for name, status, detail in validate_core(system, trace, tol).checks:
         add(f"core_validation.{name}", status, detail)
 
@@ -364,18 +359,15 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
 def _cmd_check(args) -> int:
     system, tol = _load(args)
     checks = run_check_suite(system, tol)
-    failed = [c for c in checks if c["status"] == "FAIL"]
-    if args.format == "json":
-        payload = {
-            "tolerances": tolerances_dict(tol),
-            "checks": checks,
-            "failed": len(failed),
-        }
-        _write(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = [f"{c['name']}: {c['status']} ({c['detail']})" for c in checks]
-        lines.append(f"failed: {len(failed)}")
-        _write(args, "\n".join(lines) + "\n")
+    failed = sum(c["status"] == "FAIL" for c in checks)
+    payload = {"tolerances": tolerances_dict(tol), "checks": checks, "failed": failed}
+
+    def text(rep: dict) -> str:
+        lines = [f"{c['name']}: {c['status']} ({c['detail']})" for c in rep["checks"]]
+        lines.append(f"failed: {rep['failed']}")
+        return "\n".join(lines) + "\n"
+
+    _emit(args, payload, text)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

@@ -23,7 +23,7 @@ family at the packing angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,14 +144,11 @@ def _perturb_search(
 
 def _tangent_neighbors(
     system: UnitVectorSystem, i: int, nb: NeighborSet, G: np.ndarray
-) -> list[np.ndarray]:
-    """Projected signed neighbors u_y = Proj_{x-perp}(s_y y)."""
-    x = system.vectors[i]
-    out = []
-    for j, s in zip(nb.indices, nb.signs):
-        y = system.vectors[j]
-        out.append(s * y - (s * G[i, j]) * x)
-    return out
+) -> np.ndarray:
+    """Projected signed neighbors u_y = Proj_{x-perp}(s_y y), one row each."""
+    idx = list(nb.indices)
+    s = np.asarray(nb.signs, dtype=float)
+    return s[:, None] * system.vectors[idx] - (s * G[i, idx])[:, None] * system.vectors[i]
 
 
 def _deficiency_witness(x: np.ndarray, complement: np.ndarray) -> np.ndarray:
@@ -218,7 +215,7 @@ def classify_vector(
             NOT_ISOLABLE,
             neighbors=nb.indices,
             signs=nb.signs,
-            neighbor_rank=min(system.size - 1, system.dim),
+            neighbor_rank=rank_of(system.vectors[list(nb.indices)], tol) if nb.indices else 0,
             warnings=warnings + ("coherence is zero within tolerance; nothing is isolable",),
         )
 
@@ -436,11 +433,18 @@ def replace_all_isolable(
 
 @dataclass(frozen=True)
 class CoreLevel:
-    """One step of the peeling iteration (indices refer to the input system)."""
+    """One step of the peeling iteration.
+
+    ``members`` and ``removed`` index the input system.  ``isolable`` is
+    the isolable set of the level's subsystem that decided the removals;
+    its verdict indices are positions in ``members``.  It is evidence, not
+    identity: levels compare (and hash) by members, removals and coherence.
+    """
 
     members: tuple[int, ...]
     removed: tuple[int, ...]
     coherence: float
+    isolable: IsolableSet = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -450,20 +454,18 @@ class CoreTrace:
     warnings: tuple[str, ...]
 
 
-def core(
-    system: UnitVectorSystem,
-    tol: Tolerances = DEFAULT_TOL,
-    level0: IsolableSet | None = None,
-) -> CoreTrace:
+def core(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> CoreTrace:
     """Iteratively strip isolable vectors until a fixed point remains.
 
     Each level records the current member set, the isolable vectors removed
-    from it, and its own coherence (recomputed per level; a change from the
+    from it, its own coherence (recomputed per level; a change from the
     original coherence is flagged, since for coherence-minimizing input the
-    level coherences all agree).  An emptied chain returns an empty core
-    with a warning: genuine minimizers always stop at >= n + 1 vectors.
-    Level 0 is the whole system, so a precomputed ``isolable_set(system)``
-    can be passed as ``level0``.
+    level coherences all agree) and the verdicts that decided the removals.
+    Level 0 is the whole system, so ``levels[0].isolable`` is
+    ``isolable_set(system)``; when the core is nonempty the last level's
+    verdicts are those of the core's own vectors.  An emptied chain returns
+    an empty core with a warning: genuine minimizers always stop at >= n + 1
+    vectors.
     """
     alpha0 = gram(system).coherence
     current = tuple(range(system.size))
@@ -477,7 +479,7 @@ def core(
             break
         if not levels:
             coh = alpha0
-            info = level0 or isolable_set(system, tol)
+            info = isolable_set(system, tol)
         else:
             sub = system.restrict(current)
             coh = gram(sub).coherence
@@ -488,7 +490,7 @@ def core(
             info = isolable_set(sub, tol)
         warnings.extend(info.warnings)
         removed = tuple(current[j] for j in info.indices)
-        levels.append(CoreLevel(current, removed, coh))
+        levels.append(CoreLevel(current, removed, coh, info))
         if not removed:
             break
         removed_set = set(removed)
@@ -512,9 +514,11 @@ def validate_core(
 
     For coherence zero the core must be the whole system and the spanning
     check is skipped.  Otherwise the core must have at least n + 1 members
-    and each member's neighbors *within the core* must span R^n.  Failures
-    are labeled as evidence that the input is not a coherence minimizer;
-    they never raise.
+    and each member's neighbors *within the core* must span R^n.  Those
+    neighbor sets and ranks are read from the verdicts of the trace's last
+    level, which classified the core's own subsystem, so ``trace`` must come
+    from ``core(system, tol)``.  Failures are labeled as evidence that the
+    input is not a coherence minimizer; they never raise.
     """
     n = system.dim
     checks: list[tuple[str, str, str]] = []
@@ -545,13 +549,8 @@ def validate_core(
         checks.append(("core_neighbors_span", "FAIL", "core is empty"))
         return CoreValidation(tuple(checks))
 
-    sub = system.restrict(trace.core)
-    alpha = gram(sub).coherence
-    failures = []
-    for local in range(sub.size):
-        nb = neighbors(sub, local, alpha, tol)
-        if not nb.indices or rank_of(sub.vectors[list(nb.indices)], tol) < n:
-            failures.append(trace.core[local])
+    final = trace.levels[-1]
+    failures = [final.members[v.index] for v in final.isolable.verdicts if v.neighbor_rank < n]
     span_ok = not failures
     checks.append(
         (
@@ -678,32 +677,33 @@ class EigenSpanReport:
 
 
 def eigen_span_diagnostic(
-    system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL
+    system: UnitVectorSystem, trace: CoreTrace, tol: Tolerances = DEFAULT_TOL
 ) -> EigenSpanReport:
     """Check that the top eigenvector lies in span({x} union neighbors of x).
 
     Holds for coherence minimizers whose top eigenvalue is extremal; with a
     degenerate top eigenvalue the statement picks one particular
     eigenvector, so the check reports distances for each candidate and is
-    labeled AMBIGUOUS instead of pass/fail.
+    labeled AMBIGUOUS instead of pass/fail.  Each vector's neighbors and
+    their rank are read from level 0 of ``trace`` (``core(system, tol)``):
+    when the neighbors span R^n the distance is exactly 0.0, and only the
+    other vectors get an SVD of {x} union neighbors.
     """
     m, n = system.size, system.dim
     if m <= n:
         return EigenSpanReport("SKIP", 0, (), "needs m > n")
     spec = spectral_data(system)
     k = spec.top_multiplicity(tol.eq_abs)
-    alpha = gram(system).coherence
+    top = spec.eigenvectors[:, :k]
     per_vector: list[tuple[float, ...]] = []
-    for i in range(m):
-        nb = neighbors(system, i, alpha, tol)
-        rows = system.vectors[[i] + list(nb.indices)]
-        basis = row_space(rows, tol)[0]
-        dists = []
-        for j in range(k):
-            e = spec.eigenvectors[:, j]
-            resid = e - basis.T @ (basis @ e)
-            dists.append(float(np.linalg.norm(resid)))
-        per_vector.append(tuple(dists))
+    for v in trace.levels[0].isolable.verdicts:
+        if v.neighbor_rank == n:
+            per_vector.append((0.0,) * k)
+            continue
+        basis = row_space(system.vectors[[v.index] + list(v.neighbors)], tol)[0]
+        per_vector.append(
+            tuple(float(np.linalg.norm(e - basis.T @ (basis @ e))) for e in top.T)
+        )
     if k > 1:
         return EigenSpanReport(
             "AMBIGUOUS",

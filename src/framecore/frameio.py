@@ -112,7 +112,10 @@ def _parse_structured(text: str) -> tuple[UnitVectorSystem, dict]:
         for key, value in tols.items():
             if key not in _TOLERANCE_KEYS:
                 raise ParseError(f"unknown tolerance {key!r}")
-            overrides[key] = float(value)
+            try:
+                overrides[key] = float(value)
+            except (TypeError, ValueError):
+                raise ParseError(f"tolerance {key!r} must be a number, got {value!r}") from None
     return UnitVectorSystem.from_vectors(np.array(rows), labels=labels), overrides
 
 

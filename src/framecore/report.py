@@ -18,7 +18,6 @@ from .coreanalysis import (
     CoreTrace,
     core,
     eigen_span_diagnostic,
-    isolable_set,
     tight_grassmannian_diagnostic,
     validate_core,
 )
@@ -98,8 +97,10 @@ def build_analysis_report(
     """Full machine-readable analysis of one system (fixed key order).
 
     Each stage runs once: the Gram matrix, the frame operator and its
-    spectrum are computed once and kept on the system, and the level-0
-    verdicts are reused as level 0 of the core.  When the two ETF routes
+    spectrum are computed once and kept on the system, and ``core`` runs
+    once.  Its level 0 supplies ``vectors``, and the eigen-span and
+    core-validation diagnostics read the neighbor sets and ranks of its
+    verdicts instead of recomputing them.  When the two ETF routes
     disagree, ``etf`` is null and the disagreement is a warning.
 
     The report holds O(m n) numbers, not the m x m Gram matrix (that is
@@ -125,8 +126,8 @@ def build_analysis_report(
     else:
         equi_flag, equi_angle, etf_flag = None, None, None
 
-    info = isolable_set(system, tol)
-    trace = core(system, tol, level0=info)
+    trace = core(system, tol)
+    level0 = trace.levels[0].isolable
     core_checks = validate_core(system, trace, tol)
 
     if m > n:
@@ -143,7 +144,7 @@ def build_analysis_report(
         drop_detail = "needs m > n"
 
     counts = neighbor_count_report(system, tol)
-    eig_span = eigen_span_diagnostic(system, tol)
+    eig_span = eigen_span_diagnostic(system, trace, tol)
     tight_diag = tight_grassmannian_diagnostic(system, tol)
 
     report = {
@@ -178,7 +179,7 @@ def build_analysis_report(
             "eigenvalues": _vec(spec.eigenvalues),
             "top_multiplicity": spec.top_multiplicity(tol.eq_abs),
         },
-        "vectors": [verdict_dict(v) for v in info.verdicts],
+        "vectors": [verdict_dict(v) for v in level0.verdicts],
         "core": core_trace_dict(trace),
         "diagnostics": {
             "drop_one_spanning": {
@@ -203,7 +204,7 @@ def build_analysis_report(
             "tight_grassmannian": asdict(tight_diag),
             "core_validation": {"checks": _checks(core_checks.checks)},
         },
-        "warnings": warnings + list(info.warnings),
+        "warnings": warnings + list(level0.warnings),
     }
     return report
 

@@ -32,6 +32,28 @@ def basis_plus_diagonal() -> UnitVectorSystem:
     return UnitVectorSystem.from_vectors([[1, 0, 0], [0, 1, 0], [0, 0, 1], list(t)])
 
 
+def near_tie(d: float = 1e-7) -> UnitVectorSystem:
+    """x0 = e1 with neighbors at +1 and -(1 + d) rad.
+
+    The core is {x0} alone, so its neighbors within the core are empty.
+    """
+    return UnitVectorSystem.from_vectors(
+        [[1.0, 0.0], [np.cos(1.0), np.sin(1.0)], [np.cos(1.0 + d), -np.sin(1.0 + d)]]
+    )
+
+
+def simplex_with_midpoints(n: int) -> UnitVectorSystem:
+    """simplex_etf(n) plus the normalized midpoint of every vertex pair.
+
+    The midpoints are deficient and peel off at level 0; the simplex is the
+    level-1 core (n >= 5 keeps disjoint midpoint pairs below the coherence).
+    """
+    S = simplex_etf(n).vectors
+    mids = [S[i] + S[j] for i in range(n + 1) for j in range(i + 1, n + 1)]
+    mids = np.array(mids) / np.linalg.norm(mids, axis=1)[:, None]
+    return UnitVectorSystem.from_vectors(np.vstack([S, mids]))
+
+
 def structured_family() -> list[UnitVectorSystem]:
     """Small systems with known not-isolable vectors (n <= 3, m <= 6)."""
     out = [

@@ -337,6 +337,15 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["tolerances"]["neighbor_abs"] == 1e-6
 
+    @pytest.mark.parametrize("value", ["null", '"abc"', "[1]"])
+    def test_non_numeric_file_tolerance_is_a_parse_error(self, monkeypatch, capsys, value):
+        frame = '{"dim": 2, "vectors": [[1, 0], [0, 1]], "tolerances": {"eq_abs": %s}}' % value
+        with pytest.raises(ParseError):
+            parse_frame(frame)
+        code, out, err = run_cli(monkeypatch, capsys, ["analyze", "-"], stdin=frame)
+        assert (code, out) == (2, "")
+        assert "eq_abs" in err and "Traceback" not in err
+
     def test_invalid_tolerance_rejected(self, monkeypatch, capsys):
         code, _, _ = run_cli(
             monkeypatch, capsys, ["analyze", "-", "--tol-eq", "0.5"], stdin="1 0\n0 1\n"

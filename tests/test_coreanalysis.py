@@ -5,10 +5,12 @@ import pytest
 
 from framecore import (
     UnitVectorSystem,
+    build_analysis_report,
     circular_frame,
     classify_n_plus_2,
     classify_vector,
     core,
+    double,
     eigen_span_diagnostic,
     gram,
     isolable_set,
@@ -18,9 +20,12 @@ from framecore import (
     replace_all_isolable,
     simplex_etf,
     six_in_r4,
+    spectral_data,
     tight_grassmannian_diagnostic,
     validate_core,
 )
+from framecore import coreanalysis
+from framecore.cli import run_check_suite
 from framecore.coreanalysis import (
     DEFICIENT_ISOLABLE,
     EQUIANGULAR_SUBSET,
@@ -42,10 +47,14 @@ from framecore.numerics import (
     min_norm_point,
     nnls_cone_feasible,
     orthonormal_complement,
+    rank_of,
+    row_space,
 )
 from helpers import (
     basis_plus_diagonal,
+    near_tie,
     random_unit_system,
+    simplex_with_midpoints,
     tripod_example,
     structured_family,
     sweep_finds_isolation,
@@ -419,7 +428,10 @@ class TestDichotomy:
         six = six_in_r4()
         members = (0, 1, 2, 3, 4)
         trace = CoreTrace(
-            (CoreLevel((0, 1, 2, 3, 4, 5), (5,), 1.0 / 3.0), CoreLevel(members, (), 1.0 / 3.0)),
+            (
+                CoreLevel((0, 1, 2, 3, 4, 5), (5,), 1.0 / 3.0, isolable_set(six)),
+                CoreLevel(members, (), 1.0 / 3.0, isolable_set(six.restrict(members))),
+            ),
             members,
             (),
         )
@@ -432,8 +444,12 @@ class TestDichotomy:
         # pairwise-angle check must reject it.
         mm = mub_r2()
         members = (0, 2, 3)
+        alpha = 1.0 / np.sqrt(2.0)
         trace = CoreTrace(
-            (CoreLevel((0, 1, 2, 3), (1,), 1.0 / np.sqrt(2.0)), CoreLevel(members, (), 1.0 / np.sqrt(2.0))),
+            (
+                CoreLevel((0, 1, 2, 3), (1,), alpha, isolable_set(mm)),
+                CoreLevel(members, (), alpha, isolable_set(mm.restrict(members))),
+            ),
             members,
             (),
         )
@@ -461,18 +477,21 @@ class TestTightGrassmannianDiagnostic:
 
 class TestEigenSpanDiagnostic:
     def test_six_vector_frame_passes_with_zero_distances(self):
-        rep = eigen_span_diagnostic(six_in_r4())
+        X = six_in_r4()
+        rep = eigen_span_diagnostic(X, core(X))
         assert rep.status == "PASS"
         assert rep.multiplicity == 1
         assert max(d[0] for d in rep.distances) <= 1e-12
 
     def test_circular_five_ambiguous(self):
-        rep = eigen_span_diagnostic(circular_frame(5))
+        X = circular_frame(5)
+        rep = eigen_span_diagnostic(X, core(X))
         assert rep.status == "AMBIGUOUS"
         assert rep.multiplicity == 2
 
     def test_orthonormal_basis_skipped(self):
-        rep = eigen_span_diagnostic(UnitVectorSystem.from_vectors(np.eye(3)))
+        X = UnitVectorSystem.from_vectors(np.eye(3))
+        rep = eigen_span_diagnostic(X, core(X))
         assert rep.status == "SKIP"
 
 
@@ -705,3 +724,167 @@ class TestConeStageOracle:
                     assert abs(float(v.witness @ x)) <= 1e-10
                     assert float(np.max(U @ v.witness)) <= 1e-10
         assert outcomes[ISOLABLE] >= 20 and outcomes[NOT_ISOLABLE] >= 20, outcomes
+
+
+def _level0_corpus():
+    out = [simplex_etf(n) for n in range(2, 11)]
+    out += [circular_frame(m) for m in range(3, 10)]
+    out += [six_in_r4(), double(simplex_etf(7))]
+    out.append(random_unit_system(np.random.default_rng(40), 40, 6))
+    return out
+
+
+def _eigen_span_reference(X, tol):
+    """The per-vector loop the diagnostic used before it read the level-0 verdicts."""
+    m = X.size
+    spec = spectral_data(X)
+    k = spec.top_multiplicity(tol.eq_abs)
+    alpha = gram(X).coherence
+    per_vector = []
+    for i in range(m):
+        nb = neighbors(X, i, alpha, tol)
+        basis = row_space(X.vectors[[i] + list(nb.indices)], tol)[0]
+        dists = []
+        for j in range(k):
+            e = spec.eigenvectors[:, j]
+            dists.append(float(np.linalg.norm(e - basis.T @ (basis @ e))))
+        per_vector.append(tuple(dists))
+    if k > 1:
+        return "AMBIGUOUS", per_vector
+    return ("PASS" if max(d[0] for d in per_vector) <= 1e-7 else "FAIL"), per_vector
+
+
+def _core_span_reference(X, trace, tol):
+    """The restrict / neighbors / rank_of loop validate_core used before."""
+    n = X.dim
+    sub = X.restrict(trace.core)
+    alpha = gram(sub).coherence
+    failures = []
+    for local in range(sub.size):
+        nb = neighbors(sub, local, alpha, tol)
+        if not nb.indices or rank_of(sub.vectors[list(nb.indices)], tol) < n:
+            failures.append(trace.core[local])
+    if not failures:
+        detail = "every core vector meets a spanning family at the packing angle"
+        return ("core_neighbors_span", "PASS", detail)
+    return (
+        "core_neighbors_span",
+        "FAIL",
+        f"core vectors {failures} lack spanning neighbor sets; evidence input is not Grassmannian",
+    )
+
+
+def _forbid_recomputation(mp):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("neighbor sets and ranks must be read from the trace")
+
+    mp.setattr(coreanalysis, "neighbors", forbidden)
+    mp.setattr(coreanalysis, "rank_of", forbidden)
+    mp.setattr(UnitVectorSystem, "restrict", forbidden)
+
+
+class TestLevelVerdictsAreReused:
+    """The core trace's verdicts serve the diagnostics; nothing is classified twice."""
+
+    @pytest.mark.parametrize(
+        "run", [build_analysis_report, run_check_suite], ids=["analyze", "check"]
+    )
+    def test_one_level0_classification(self, monkeypatch, run):
+        for X, n_levels in ((six_in_r4(), 1), (simplex_with_midpoints(6), 2)):
+            trace = core(X)
+            assert len(trace.levels) == n_levels
+            calls = []
+            classify = coreanalysis.classify_vector
+
+            def counted(system, i, tol=DEFAULT_TOL):
+                calls.append(system)
+                return classify(system, i, tol)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(coreanalysis, "classify_vector", counted)
+                run(X, DEFAULT_TOL)
+            assert sum(system is X for system in calls) == X.size
+            assert len(calls) == sum(len(level.members) for level in trace.levels)
+
+    def test_eigen_span_skips_full_rank_vectors(self, monkeypatch):
+        tol = DEFAULT_TOL
+        seen_full = seen_deficient = 0
+        for X in _level0_corpus():
+            n = X.dim
+            trace = core(X, tol)
+            status, expected = _eigen_span_reference(X, tol)
+            verdicts = trace.levels[0].isolable.verdicts
+            calls = []
+
+            def recorded(rows, tol=DEFAULT_TOL):
+                calls.append(np.array(rows))
+                return row_space(rows, tol)
+
+            with monkeypatch.context() as mp:
+                _forbid_recomputation(mp)
+                mp.setattr(coreanalysis, "row_space", recorded)
+                rep = eigen_span_diagnostic(X, trace, tol)
+            assert rep.status == status
+            assert rep.multiplicity == len(expected[0])
+            deficient = [v for v in verdicts if v.neighbor_rank < n]
+            assert len(calls) == len(deficient)
+            for rows, v in zip(calls, deficient):
+                assert np.array_equal(rows, X.vectors[[v.index] + list(v.neighbors)])
+            for v, got, ref in zip(verdicts, rep.distances, expected):
+                if v.neighbor_rank == n:
+                    seen_full += 1
+                    assert got == (0.0,) * len(ref)
+                    assert max(ref) <= 1e-12
+                else:
+                    seen_deficient += 1
+                    assert got == ref
+        assert seen_full and seen_deficient
+
+    def test_validate_core_reads_the_final_level(self, monkeypatch):
+        tol = DEFAULT_TOL
+        lacking = 0
+        for X in _level0_corpus() + [simplex_with_midpoints(6), basis_plus_diagonal(), near_tie()]:
+            trace = core(X, tol)
+            if not trace.core:
+                continue
+            expected = _core_span_reference(X, trace, tol)
+            with monkeypatch.context() as mp:
+                _forbid_recomputation(mp)
+                checks = validate_core(X, trace, tol).checks
+            assert [c for c in checks if c[0] == "core_neighbors_span"] == [expected]
+            lacking += "lack spanning neighbor sets" in expected[2]
+        assert lacking == 2  # basis-plus-diagonal and near-tie
+
+    def test_coherence_zero_rank_is_computed(self):
+        cases = [
+            (UnitVectorSystem.from_vectors(np.eye(4)), 3),
+            (UnitVectorSystem.from_vectors([[0.6, 0.8]]), 0),
+            (UnitVectorSystem.from_vectors(np.eye(3)[:2]), 1),
+        ]
+        for X, rank in cases:
+            for v in isolable_set(X).verdicts:
+                assert v.status == NOT_ISOLABLE
+                rows = X.vectors[list(v.neighbors)]
+                assert v.neighbor_rank == (rank_of(rows) if v.neighbors else 0) == rank
+
+
+def test_tangent_neighbors_equal_the_per_neighbor_loop():
+    """The array expression gives the loop's rows bit for bit."""
+    rng = np.random.default_rng(71)
+    systems = [tripod_example(0.5), six_in_r4(), simplex_etf(6), double(simplex_etf(4))]
+    systems += [random_unit_system(rng, 12, 3) for _ in range(3)]
+    checked = 0
+    for X in systems:
+        gm = gram(X)
+        for i in range(X.size):
+            nb = neighbors(X, i, gm.coherence, DEFAULT_TOL, gram_matrix=gm)
+            x = X.vectors[i]
+            loop = [
+                s * X.vectors[j] - (s * gm.entries[i, j]) * x
+                for j, s in zip(nb.indices, nb.signs)
+            ]
+            got = _tangent_neighbors(X, i, nb, gm.entries)
+            assert got.shape == (len(nb.indices), X.dim)
+            assert np.array_equal(got, np.array(loop).reshape(got.shape))
+            checked += len(loop)
+    assert checked > 100
