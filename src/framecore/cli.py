@@ -11,7 +11,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -22,6 +21,7 @@ from .coreanalysis import (
     core,
     eigen_span_diagnostic,
     isolable_set,
+    neighbor_count_report,
     tight_grassmannian_diagnostic,
     validate_core,
 )
@@ -31,7 +31,6 @@ from .frames import (
     frame_operator,
     gram,
     is_etf,
-    neighbor_count_report,
     reconstruct,
     spans,
     tightness,
@@ -42,6 +41,7 @@ from .numerics import Tolerances
 from .report import (
     build_analysis_report,
     core_trace_dict,
+    emit_report,
     render_text,
     tolerances_dict,
     verdict_dict,
@@ -116,15 +116,9 @@ def _read_source(path: str) -> str:
 
 
 def _load(args) -> tuple[UnitVectorSystem, Tolerances]:
-    system, overrides = parse_frame_with_overrides(_read_source(args.file))
-    values = dict(Tolerances().__dict__)
-    values.update(overrides)
-    if args.tol_eq is not None:
-        values["eq_abs"] = args.tol_eq
-    if args.tol_neighbor is not None:
-        values["neighbor_abs"] = args.tol_neighbor
-    if args.tol_hull is not None:
-        values["hull_abs"] = args.tol_hull
+    system, values = parse_frame_with_overrides(_read_source(args.file))
+    flags = {"eq_abs": args.tol_eq, "neighbor_abs": args.tol_neighbor, "hull_abs": args.tol_hull}
+    values.update((name, value) for name, value in flags.items() if value is not None)
     try:
         return system, Tolerances(**values)
     except ValueError as exc:
@@ -141,7 +135,7 @@ def _write(args, payload: str) -> None:
 
 def _emit(args, report: dict, text_renderer) -> None:
     if args.format == "json":
-        _write(args, json.dumps(report, indent=2) + "\n")
+        _write(args, emit_report(report))
     else:
         _write(args, text_renderer(report))
 
@@ -233,18 +227,21 @@ def _cmd_double(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.name == "circular":
-        if args.m is None:
-            raise _UsageError("construct circular requires --m")
-        system = constructions.circular_frame(args.m)
-    elif args.name == "six_in_r4":
-        system = constructions.six_in_r4()
-    elif args.name == "mub_r2":
-        system = constructions.mub_r2()
-    else:
-        if args.n is None:
-            raise _UsageError("construct simplex requires --n")
-        system = constructions.simplex_etf(args.n)
+    try:
+        if args.name == "circular":
+            if args.m is None:
+                raise _UsageError("construct circular requires --m")
+            system = constructions.circular_frame(args.m)
+        elif args.name == "six_in_r4":
+            system = constructions.six_in_r4()
+        elif args.name == "mub_r2":
+            system = constructions.mub_r2()
+        else:
+            if args.n is None:
+                raise _UsageError("construct simplex requires --n")
+            system = constructions.simplex_etf(args.n)
+    except ValueError as exc:  # an out-of-range --m or --n
+        raise ValidationError(f"construct {args.name}: {exc}") from None
     _write(args, emit_frame(system))
     return EXIT_OK
 
@@ -276,8 +273,8 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
 
     The Gram matrix, the frame operator and its spectrum are computed once
     and kept on the system; the spanning flag and the core trace are
-    computed once here, and the eigen-span and core-validation checks read
-    the trace's verdicts.
+    computed once here, and the neighbor-count, eigen-span and
+    core-validation checks read the trace's verdicts.
     """
     m, n = system.size, system.dim
     checks: list[dict] = []
@@ -326,7 +323,8 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
     else:
         add("etf_route_consistency", "SKIP", "needs m >= 2")
 
-    for name, status, detail in neighbor_count_report(system, tol).checks:
+    trace = core(system, tol)
+    for name, status, detail in neighbor_count_report(system, trace, tol).checks:
         add(f"neighbor_counts.{name}", status, detail)
 
     if spanning:
@@ -343,7 +341,6 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
     else:
         add("reconstruction_identity", "SKIP", "system does not span")
 
-    trace = core(system, tol)
     eig = eigen_span_diagnostic(system, trace, tol)
     add("eigen_span", eig.status, eig.detail)
 

@@ -38,6 +38,7 @@ from .frames import (
     NeighborSet,
     UnitVectorSystem,
     gram,
+    is_equiangular,
     neighbors,
     spectral_data,
     tightness,
@@ -46,7 +47,6 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerances,
     nnls_cone_feasible,
-    rank_of,
     row_space,
 )
 
@@ -205,31 +205,21 @@ def classify_vector(
     gm = gram(system)
     alpha = gm.coherence
     warnings = tuple(_near_tie_warnings(gm.entries[i], i, alpha, tol))
-
     nb = neighbors(system, i, alpha, tol)
+    span_basis, complement = (
+        row_space(system.vectors[list(nb.indices)], tol) if nb.indices else ((), None)
+    )
+    nb_rank = len(span_basis)
+    witness = certificate = None
+
     if alpha <= tol.neighbor_abs:
         # Coherence-zero convention: replacement cannot strictly beat an
         # already orthogonal system.  Every other vector is a neighbor.
-        return VectorVerdict(
-            i,
-            NOT_ISOLABLE,
-            neighbors=nb.indices,
-            signs=nb.signs,
-            neighbor_rank=rank_of(system.vectors[list(nb.indices)], tol) if nb.indices else 0,
-            warnings=warnings + ("coherence is zero within tolerance; nothing is isolable",),
-        )
-
-    n = system.dim
-
-    if not nb.indices:
-        return VectorVerdict(i, ISOLATED, warnings=warnings)
-
-    span_basis, complement = row_space(system.vectors[list(nb.indices)], tol)
-    nb_rank = span_basis.shape[0]
-    witness = None
-    certificate = None
-
-    if nb_rank < n:
+        status = NOT_ISOLABLE
+        warnings += ("coherence is zero within tolerance; nothing is isolable",)
+    elif not nb.indices:
+        status = ISOLATED
+    elif nb_rank < system.dim:
         status = DEFICIENT_ISOLABLE
         witness = _deficiency_witness(system.vectors[i], complement)
     else:
@@ -237,34 +227,23 @@ def classify_vector(
         try:
             result = nnls_cone_feasible(tangent, -np.sum(tangent, axis=0), tol)
         except IterationLimit as exc:
-            return VectorVerdict(
-                i,
-                INDETERMINATE,
-                neighbors=nb.indices,
-                signs=nb.signs,
-                neighbor_rank=nb_rank,
-                warnings=warnings + (f"iteration limit during cone analysis: {exc}",),
-            )
-        if result.feasible:
-            status = NOT_ISOLABLE
-            certificate = 1.0 + result.weights
+            status = INDETERMINATE
+            warnings += (f"iteration limit during cone analysis: {exc}",)
         else:
-            status = ISOLABLE
-            witness = result.certificate / np.linalg.norm(result.certificate)
+            if result.feasible:
+                status = NOT_ISOLABLE
+                certificate = 1.0 + result.weights
+            else:
+                status = ISOLABLE
+                witness = result.certificate / np.linalg.norm(result.certificate)
 
     if status in (ISOLABLE, DEFICIENT_ISOLABLE):
         others = np.delete(system.vectors, i, axis=0)
         try:
             _perturb_search(others, system.vectors[i], witness, alpha, tol)
         except SearchFailed as exc:
-            return VectorVerdict(
-                i,
-                INDETERMINATE,
-                neighbors=nb.indices,
-                signs=nb.signs,
-                neighbor_rank=nb_rank,
-                warnings=warnings + (f"constructive validation failed: {exc}",),
-            )
+            status, witness = INDETERMINATE, None
+            warnings += (f"constructive validation failed: {exc}",)
 
     return VectorVerdict(
         i,
@@ -477,17 +456,13 @@ def core(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> CoreTrace:
                 "core iteration emptied the set; evidence input is not Grassmannian"
             )
             break
-        if not levels:
-            coh = alpha0
-            info = isolable_set(system, tol)
-        else:
-            sub = system.restrict(current)
-            coh = gram(sub).coherence
-            if abs(coh - alpha0) > tol.neighbor_abs:
-                warnings.append(
-                    f"coherence changed from {alpha0!r} to {coh!r} at level {len(levels)}"
-                )
-            info = isolable_set(sub, tol)
+        sub = system.restrict(current) if levels else system
+        coh = gram(sub).coherence
+        if abs(coh - alpha0) > tol.neighbor_abs:
+            warnings.append(
+                f"coherence changed from {alpha0!r} to {coh!r} at level {len(levels)}"
+            )
+        info = isolable_set(sub, tol)
         warnings.extend(info.warnings)
         removed = tuple(current[j] for j in info.indices)
         levels.append(CoreLevel(current, removed, coh, info))
@@ -720,3 +695,55 @@ def eigen_span_diagnostic(
         f"max distance {worst:.3e}"
         + ("" if ok else "; evidence input is not Grassmannian"),
     )
+
+
+@dataclass(frozen=True)
+class NeighborCountReport:
+    """Per-vector packing-neighbor counts with tight-frame parity diagnostics."""
+
+    level: float
+    counts: tuple[int, ...]
+    checks: tuple[tuple[str, str, str], ...]
+
+
+def neighbor_count_report(
+    system: UnitVectorSystem, trace: CoreTrace, tol: Tolerances = DEFAULT_TOL
+) -> NeighborCountReport:
+    """Counts |x_X^alpha| at alpha = coherence, plus parity diagnostics.
+
+    The counts are read from the level-0 verdicts of ``trace``
+    (``core(system, tol)``).  For a tight system that is not equiangular
+    every count must be <= m - 2, and for odd m some count must be <= m - 3;
+    those facts hold for any tight unit-norm frame, so a FAIL means the
+    input or the tolerances are inconsistent.
+    """
+    alpha = gram(system).coherence
+    m = system.size
+    counts = tuple(v.neighbor_count for v in trace.levels[0].isolable.verdicts)
+    checks = []
+    if m >= 2 and tightness(system, tol).tight and not is_equiangular(system, tol)[0]:
+        if max(counts) <= m - 2:
+            checks.append(("max_count_le_m_minus_2", "PASS", f"max count {max(counts)} <= {m - 2}"))
+        else:
+            checks.append(
+                (
+                    "max_count_le_m_minus_2",
+                    "FAIL",
+                    f"max count {max(counts)} > {m - 2}: tight non-equiangular systems cannot "
+                    "have a full neighbor set; input or tolerances are inconsistent",
+                )
+            )
+        if m % 2 == 1:
+            if min(counts) <= m - 3:
+                checks.append(("odd_m_some_count_le_m_minus_3", "PASS", f"min count {min(counts)} <= {m - 3}"))
+            else:
+                checks.append(
+                    (
+                        "odd_m_some_count_le_m_minus_3",
+                        "FAIL",
+                        f"all counts exceed {m - 3} with odd m; Gram parity is violated",
+                    )
+                )
+    else:
+        checks.append(("tight_nonequiangular_counts", "SKIP", "applies to tight non-ETF systems only"))
+    return NeighborCountReport(alpha, counts, tuple(checks))

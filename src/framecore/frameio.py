@@ -12,13 +12,15 @@ farther off is rejected.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import ParseError, ShapeError
 from .frames import UnitVectorSystem
+from .numerics import Tolerances
 
-_TOLERANCE_KEYS = ("eq_abs", "neighbor_abs", "hull_abs", "rank_rel")
+_TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
 
 
 def round15(x: float) -> float:
@@ -73,6 +75,13 @@ def _parse_plain(text: str) -> UnitVectorSystem:
     return UnitVectorSystem.from_vectors(np.array(rows))
 
 
+def _number(value) -> float:
+    """``float(value)`` for a JSON number; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)  # OverflowError for an integer beyond the float range
+
+
 def _parse_structured(text: str) -> tuple[UnitVectorSystem, dict]:
     try:
         obj = json.loads(text)
@@ -83,7 +92,7 @@ def _parse_structured(text: str) -> tuple[UnitVectorSystem, dict]:
     if "dim" not in obj or "vectors" not in obj:
         raise ParseError('structured frame file needs "dim" and "vectors" keys')
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError(f'"dim" must be a positive integer, got {dim!r}')
     vectors = obj["vectors"]
     if not isinstance(vectors, list) or not vectors:
@@ -95,8 +104,8 @@ def _parse_structured(text: str) -> tuple[UnitVectorSystem, dict]:
         if len(row) != dim:
             raise ShapeError(f"row {idx} has {len(row)} entries, expected dim = {dim}")
         try:
-            rows.append([float(v) for v in row])
-        except (TypeError, ValueError) as exc:
+            rows.append([_number(v) for v in row])
+        except (TypeError, OverflowError) as exc:
             raise ParseError(f"row {idx}: {exc}") from None
     labels = obj.get("labels")
     if labels is not None:
@@ -113,8 +122,8 @@ def _parse_structured(text: str) -> tuple[UnitVectorSystem, dict]:
             if key not in _TOLERANCE_KEYS:
                 raise ParseError(f"unknown tolerance {key!r}")
             try:
-                overrides[key] = float(value)
-            except (TypeError, ValueError):
+                overrides[key] = _number(value)
+            except (TypeError, OverflowError):
                 raise ParseError(f"tolerance {key!r} must be a number, got {value!r}") from None
     return UnitVectorSystem.from_vectors(np.array(rows), labels=labels), overrides
 

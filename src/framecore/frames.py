@@ -13,7 +13,7 @@ every stage that reads them through ``gram``, ``frame_operator`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -385,59 +385,3 @@ def reconstruct(
     spec = spectral_data(system)
     comps = spec.eigenvectors.T @ synthesized
     return spec.eigenvectors @ (comps / spec.eigenvalues)
-
-
-@dataclass(frozen=True)
-class NeighborCountReport:
-    """Per-vector packing-neighbor counts with tight-frame parity diagnostics."""
-
-    level: float
-    counts: tuple[int, ...]
-    checks: tuple[tuple[str, str, str], ...] = field(default_factory=tuple)
-
-
-def neighbor_count_report(
-    system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL
-) -> NeighborCountReport:
-    """Counts |x_X^alpha| at alpha = coherence, plus parity diagnostics.
-
-    For a tight non-ETF system every count must be <= m - 2, and for odd m
-    some count must be <= m - 3; those facts hold for any tight unit-norm
-    frame, so a FAIL means the input or the tolerances are inconsistent.
-    When the two ETF routes disagree the parity checks are skipped.
-    """
-    alpha = gram(system).coherence
-    m = system.size
-    counts = tuple(len(neighbors(system, i, alpha, tol).indices) for i in range(m))
-    checks = []
-    try:
-        tight_non_etf = m >= 2 and tightness(system, tol).tight and not is_etf(system, tol)
-    except InconsistentVerdict as exc:
-        checks.append(("tight_nonequiangular_counts", "SKIP", f"ETF status undecided: {exc}"))
-        return NeighborCountReport(alpha, counts, tuple(checks))
-    if tight_non_etf:
-        if max(counts) <= m - 2:
-            checks.append(("max_count_le_m_minus_2", "PASS", f"max count {max(counts)} <= {m - 2}"))
-        else:
-            checks.append(
-                (
-                    "max_count_le_m_minus_2",
-                    "FAIL",
-                    f"max count {max(counts)} > {m - 2}: tight non-equiangular systems cannot "
-                    "have a full neighbor set; input or tolerances are inconsistent",
-                )
-            )
-        if m % 2 == 1:
-            if min(counts) <= m - 3:
-                checks.append(("odd_m_some_count_le_m_minus_3", "PASS", f"min count {min(counts)} <= {m - 3}"))
-            else:
-                checks.append(
-                    (
-                        "odd_m_some_count_le_m_minus_3",
-                        "FAIL",
-                        f"all counts exceed {m - 3} with odd m; Gram parity is violated",
-                    )
-                )
-    else:
-        checks.append(("tight_nonequiangular_counts", "SKIP", "applies to tight non-ETF systems only"))
-    return NeighborCountReport(alpha, counts, tuple(checks))

@@ -13,7 +13,7 @@ classification and the complement pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,8 +45,7 @@ class Tolerances:
     rank_rel: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("eq_abs", "neighbor_abs", "hull_abs", "rank_rel"):
-            value = getattr(self, name)
+        for name, value in asdict(self).items():
             if not (0.0 < value < 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2), got {value!r}")
 

@@ -18,6 +18,7 @@ from .coreanalysis import (
     CoreTrace,
     core,
     eigen_span_diagnostic,
+    neighbor_count_report,
     tight_grassmannian_diagnostic,
     validate_core,
 )
@@ -29,7 +30,6 @@ from .frames import (
     gram,
     is_equiangular,
     is_etf,
-    neighbor_count_report,
     spectral_data,
     tightness,
 )
@@ -54,12 +54,7 @@ def _checks(checks) -> list[dict]:
 
 
 def tolerances_dict(tol: Tolerances) -> dict:
-    return {
-        "eq_abs": _num(tol.eq_abs),
-        "neighbor_abs": _num(tol.neighbor_abs),
-        "hull_abs": _num(tol.hull_abs),
-        "rank_rel": _num(tol.rank_rel),
-    }
+    return {name: _num(value) for name, value in asdict(tol).items()}
 
 
 def core_trace_dict(trace: CoreTrace) -> dict:
@@ -98,10 +93,10 @@ def build_analysis_report(
 
     Each stage runs once: the Gram matrix, the frame operator and its
     spectrum are computed once and kept on the system, and ``core`` runs
-    once.  Its level 0 supplies ``vectors``, and the eigen-span and
-    core-validation diagnostics read the neighbor sets and ranks of its
-    verdicts instead of recomputing them.  When the two ETF routes
-    disagree, ``etf`` is null and the disagreement is a warning.
+    once.  Its level 0 supplies ``vectors``, and the neighbor-count,
+    eigen-span and core-validation diagnostics read the neighbor sets and
+    ranks of its verdicts instead of recomputing them.  When the two ETF
+    routes disagree, ``etf`` is null and the disagreement is a warning.
 
     The report holds O(m n) numbers, not the m x m Gram matrix (that is
     ``gram(system)``): each entry of ``vectors`` lists its level-alpha
@@ -143,7 +138,7 @@ def build_analysis_report(
         drop_status = "SKIP"
         drop_detail = "needs m > n"
 
-    counts = neighbor_count_report(system, tol)
+    counts = neighbor_count_report(system, trace, tol)
     eig_span = eigen_span_diagnostic(system, trace, tol)
     tight_diag = tight_grassmannian_diagnostic(system, tol)
 

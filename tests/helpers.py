@@ -8,6 +8,8 @@ simplex.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from framecore import UnitVectorSystem, circular_frame, gram, mub_r2, simplex_etf
@@ -52,6 +54,27 @@ def simplex_with_midpoints(n: int) -> UnitVectorSystem:
     mids = [S[i] + S[j] for i in range(n + 1) for j in range(i + 1, n + 1)]
     mids = np.array(mids) / np.linalg.norm(mids, axis=1)[:, None]
     return UnitVectorSystem.from_vectors(np.vstack([S, mids]))
+
+
+def patch_everywhere(mp, original, replacement) -> None:
+    """Rebind ``original`` to ``replacement`` in every framecore module that imports it."""
+    for name, module in list(sys.modules.items()):
+        if name == "framecore" or name.startswith("framecore."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    mp.setattr(module, attr, replacement)
+
+
+def count_calls(mp, original) -> list:
+    """Wrap ``original`` everywhere (see ``patch_everywhere``); returns the list of call args."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    patch_everywhere(mp, original, counted)
+    return calls
 
 
 def structured_family() -> list[UnitVectorSystem]:

@@ -1,5 +1,6 @@
 """Tests for file formats, the command surface, and report emission."""
 
+import dataclasses
 import io
 import json
 import math
@@ -22,7 +23,7 @@ from framecore import (
 )
 from framecore.cli import run
 from framecore.errors import NormError, ParseError, ShapeError
-from framecore.frameio import parse_frame_with_overrides
+from framecore.frameio import parse_frame_with_overrides, round15
 from framecore.report import render_text
 from helpers import basis_plus_diagonal, random_unit_system, tripod_example
 
@@ -93,6 +94,32 @@ class TestParseFrame:
     def test_non_integer_dim(self):
         with pytest.raises(ParseError):
             parse_frame('{"dim": 2.0, "vectors": [[1.0, 0.0]]}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dim": 2, "vectors": [[true, false], [false, true]]}',
+            '{"dim": true, "vectors": [[1.0]]}',
+            '{"dim": 2, "vectors": [[1, 0], [0, 1]], "tolerances": {"eq_abs": false}}',
+            '{"dim": 2, "vectors": [["1", "0"], ["0", "1"]]}',
+            '{"dim": 2, "vectors": [[1, 0], [0, 1]], "tolerances": {"eq_abs": "1e-9"}}',
+            '{"dim": 1, "vectors": [[1%s]]}' % ("0" * 400),
+        ],
+        ids=[
+            "boolean-entries",
+            "boolean-dim",
+            "boolean-tolerance",
+            "string-entries",
+            "string-tolerance",
+            "integer-beyond-float-range",
+        ],
+    )
+    def test_json_non_numbers_are_parse_errors(self, monkeypatch, capsys, text):
+        with pytest.raises(ParseError):
+            parse_frame(text)
+        code, out, err = run_cli(monkeypatch, capsys, ["analyze", "-"], stdin=text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestReport:
@@ -313,6 +340,32 @@ class TestCommands:
         assert code == 0
         system = parse_frame(out)
         assert system.size == 4 and system.dim == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["circular", "--m", "1"],
+            ["circular", "--m", "0"],
+            ["simplex", "--n", "0"],
+            ["simplex", "--n", "-3"],
+        ],
+    )
+    def test_construct_out_of_range_is_a_validation_error(self, monkeypatch, capsys, argv):
+        code, out, err = run_cli(monkeypatch, capsys, ["construct", *argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_file_can_set_every_tolerance(self, monkeypatch, capsys):
+        values = {f.name: round15(3.0 * f.default) for f in dataclasses.fields(Tolerances)}
+        frame = json.dumps({"dim": 2, "vectors": [[1, 0], [0, 1]], "tolerances": values})
+        for command in ("analyze", "core", "classify", "check"):
+            code, out, _ = run_cli(monkeypatch, capsys, [command, "-"], stdin=frame)
+            assert code == 0
+            assert json.loads(out)["tolerances"] == values
+        unknown = json.dumps({"dim": 1, "vectors": [[1]], "tolerances": {"margin_abs": 1e-9}})
+        code, out, err = run_cli(monkeypatch, capsys, ["analyze", "-"], stdin=unknown)
+        assert (code, out) == (2, "")
+        assert "unknown tolerance 'margin_abs'" in err
 
     def test_construct_circular_requires_m(self, monkeypatch, capsys):
         code, _, err = run_cli(monkeypatch, capsys, ["construct", "circular"])

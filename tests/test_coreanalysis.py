@@ -13,15 +13,18 @@ from framecore import (
     double,
     eigen_span_diagnostic,
     gram,
+    is_etf,
     isolable_set,
     mub_r2,
     naimark_complement,
+    neighbor_count_report,
     perturb_replace,
     replace_all_isolable,
     simplex_etf,
     six_in_r4,
     spectral_data,
     tight_grassmannian_diagnostic,
+    tightness,
     validate_core,
 )
 from framecore import coreanalysis
@@ -52,7 +55,9 @@ from framecore.numerics import (
 )
 from helpers import (
     basis_plus_diagonal,
+    count_calls,
     near_tie,
+    patch_everywhere,
     random_unit_system,
     simplex_with_midpoints,
     tripod_example,
@@ -778,8 +783,8 @@ def _forbid_recomputation(mp):
     def forbidden(*args, **kwargs):
         raise AssertionError("neighbor sets and ranks must be read from the trace")
 
-    mp.setattr(coreanalysis, "neighbors", forbidden)
-    mp.setattr(coreanalysis, "rank_of", forbidden)
+    patch_everywhere(mp, neighbors, forbidden)
+    patch_everywhere(mp, rank_of, forbidden)
     mp.setattr(UnitVectorSystem, "restrict", forbidden)
 
 
@@ -866,6 +871,69 @@ class TestLevelVerdictsAreReused:
                 assert v.status == NOT_ISOLABLE
                 rows = X.vectors[list(v.neighbors)]
                 assert v.neighbor_rank == (rank_of(rows) if v.neighbors else 0) == rank
+
+
+class TestEachFactDecidedOnce:
+    """Neighbor sets, ranks and ETF status are decided once per command."""
+
+    @staticmethod
+    def _frames():
+        return [
+            six_in_r4(),
+            simplex_with_midpoints(6),
+            UnitVectorSystem.from_vectors(np.eye(4)),  # coherence zero
+            UnitVectorSystem.from_vectors([[0.6, 0.8]]),  # m = 1
+        ]
+
+    @pytest.mark.parametrize(
+        "run", [build_analysis_report, run_check_suite], ids=["analyze", "check"]
+    )
+    def test_one_neighbors_query_per_classification(self, monkeypatch, run):
+        for X in self._frames():
+            with monkeypatch.context() as mp:
+                queries = count_calls(mp, neighbors)
+                classified = count_calls(mp, coreanalysis.classify_vector)
+                etf = count_calls(mp, is_etf)
+                run(X, DEFAULT_TOL)
+            assert len(queries) == len(classified) >= X.size
+            assert len(etf) <= 1
+
+    def test_classify_vector_makes_one_row_space_call_and_no_rank_of_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("classify_vector must take the rank from row_space")
+
+        frames = self._frames() + [simplex_etf(4), basis_plus_diagonal(), tripod_example(0.5)]
+        frames.append(UnitVectorSystem.from_vectors(np.eye(3)[:2]))
+        for X in frames:
+            with monkeypatch.context() as mp:
+                patch_everywhere(mp, rank_of, forbidden)
+                svds = count_calls(mp, row_space)
+                verdicts = isolable_set(X).verdicts
+            assert len(svds) == sum(1 for v in verdicts if v.neighbors)
+
+    def test_neighbor_counts_equal_the_per_vector_loop(self, monkeypatch):
+        tol = DEFAULT_TOL
+        frames = [simplex_etf(n) for n in range(2, 11)]
+        frames += [circular_frame(m) for m in range(3, 10)]
+        frames += [six_in_r4(), mub_r2(), double(simplex_etf(3))]
+        frames.append(random_unit_system(np.random.default_rng(40), 40, 6))
+        gated = 0
+        for X in frames:
+            alpha = gram(X).coherence
+            counts = tuple(len(neighbors(X, i, alpha, tol).indices) for i in range(X.size))
+            trace = core(X, tol)
+            with monkeypatch.context() as mp:
+                _forbid_recomputation(mp)
+                rep = neighbor_count_report(X, trace, tol)
+            assert (rep.level, rep.counts) == (alpha, counts)
+            names = [name for name, _, _ in rep.checks]
+            if tightness(X, tol).tight and not is_etf(X, tol):
+                gated += 1
+                assert names[0] == "max_count_le_m_minus_2"
+                assert ("odd_m_some_count_le_m_minus_3" in names) == (X.size % 2 == 1)
+            else:
+                assert names == ["tight_nonequiangular_counts"]
+        assert gated == 8  # circular m = 4..9, mub_r2 and double(simplex_etf(3))
 
 
 def test_tangent_neighbors_equal_the_per_neighbor_loop():

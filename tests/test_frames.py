@@ -12,6 +12,7 @@ from framecore import (
     bounds_card,
     build_analysis_report,
     circular_frame,
+    core,
     double,
     drop_one_spanning,
     frame_operator,
@@ -439,22 +440,26 @@ class TestReconstruct:
 
 class TestNeighborCountReport:
     def test_six_vector_frame(self):
-        rep = neighbor_count_report(six_in_r4())
+        X = six_in_r4()
+        rep = neighbor_count_report(X, core(X))
         assert rep.counts == (5, 5, 5, 5, 5, 5)
         assert all(status == "SKIP" for _, status, _ in rep.checks)
 
     def test_orthonormal_basis(self):
-        rep = neighbor_count_report(UnitVectorSystem.from_vectors(np.eye(3)))
+        X = UnitVectorSystem.from_vectors(np.eye(3))
+        rep = neighbor_count_report(X, core(X))
         assert rep.counts == (2, 2, 2)
 
     def test_mub_counts_and_parity(self):
-        rep = neighbor_count_report(mub_r2())
+        X = mub_r2()
+        rep = neighbor_count_report(X, core(X))
         assert rep.counts == (2, 2, 2, 2)
         names = {name: status for name, status, _ in rep.checks}
         assert names["max_count_le_m_minus_2"] == "PASS"
 
     def test_circular_seven_odd_parity(self):
-        rep = neighbor_count_report(circular_frame(7))
+        X = circular_frame(7)
+        rep = neighbor_count_report(X, core(X))
         names = {name: status for name, status, _ in rep.checks}
         assert names["max_count_le_m_minus_2"] == "PASS"
         assert names["odd_m_some_count_le_m_minus_3"] == "PASS"
@@ -498,7 +503,7 @@ class TestInvariants:
         tight_family += [double(simplex_etf(3)), double(circular_frame(5))]
         for sys_ in tight_family:
             assert tightness(sys_).tight
-            rep = neighbor_count_report(sys_)
+            rep = neighbor_count_report(sys_, core(sys_))
             if max(rep.counts) == sys_.size - 1:
                 assert is_etf(sys_)
 
