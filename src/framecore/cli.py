@@ -64,43 +64,47 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-eq", type=float, default=None, help="absolute equality tolerance")
-    common.add_argument(
+    # Each command gets only the options it reads.
+    tols = argparse.ArgumentParser(add_help=False)
+    tols.add_argument("--tol-eq", type=float, default=None, help="absolute equality tolerance")
+    tols.add_argument(
         "--tol-neighbor", type=float, default=None, help="neighbor membership tolerance"
     )
-    common.add_argument(
+    tols.add_argument(
         "--tol-hull", type=float, default=None, help="zero threshold for hull points"
     )
-    common.add_argument(
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
         "--format", choices=("json", "text"), default="json", help="output format"
     )
-    common.add_argument("--out", default=None, help="write output to this path")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write output to this path")
+    report, transform = [tols, fmt, out], [tols, out]
 
     parser = _Parser(prog="framecore", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="full analysis report")
+    p = sub.add_parser("analyze", parents=report, help="full analysis report")
     p.add_argument("file", nargs="?", default="-")
-    p = sub.add_parser("core", parents=[common], help="core extraction trace")
+    p = sub.add_parser("core", parents=report, help="core extraction trace")
     p.add_argument("file", nargs="?", default="-")
-    p = sub.add_parser("classify", parents=[common], help="per-vector verdicts")
+    p = sub.add_parser("classify", parents=report, help="per-vector verdicts")
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("--index", type=int, default=None, help="classify only this vector")
-    p = sub.add_parser("naimark", parents=[common], help="complementary system")
+    p = sub.add_parser("naimark", parents=transform, help="complementary system")
     p.add_argument("file", nargs="?", default="-")
-    p = sub.add_parser("double", parents=[common], help="doubled system in R^{2n}")
+    p = sub.add_parser("double", parents=transform, help="doubled system in R^{2n}")
     p.add_argument("file", nargs="?", default="-")
-    p = sub.add_parser("construct", parents=[common], help="emit a catalog frame")
+    p = sub.add_parser("construct", parents=[out], help="emit a catalog frame")
     p.add_argument(
         "name", choices=("circular", "six_in_r4", "mub_r2", "simplex"), help="construction"
     )
     p.add_argument("--m", type=int, default=None, help="vector count (circular)")
     p.add_argument("--n", type=int, default=None, help="dimension (simplex)")
-    p = sub.add_parser("catalog", parents=[common], help="exactly known packing angles")
+    p = sub.add_parser("catalog", parents=[fmt, out], help="exactly known packing angles")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p = sub.add_parser("check", parents=[common], help="invariant suite for one file")
+    p = sub.add_parser("check", parents=report, help="invariant suite for one file")
     p.add_argument("file", nargs="?", default="-")
     return parser
 

@@ -58,6 +58,9 @@ INDETERMINATE = "indeterminate"
 
 ISOLABLE_STATUSES = (ISOLATED, DEFICIENT_ISOLABLE, ISOLABLE)
 
+# eigen_span_diagnostic passes when every distance is at or below this.
+EIGEN_SPAN_ABS = 1e-7
+
 
 @dataclass(frozen=True)
 class VectorVerdict:
@@ -687,7 +690,7 @@ def eigen_span_diagnostic(
             "top eigenvalue is degenerate; the property is stated for one specific eigenvector",
         )
     worst = max(d[0] for d in per_vector)
-    ok = worst <= 1e-7
+    ok = worst <= EIGEN_SPAN_ABS
     return EigenSpanReport(
         "PASS" if ok else "FAIL",
         k,

@@ -35,7 +35,7 @@ class DimensionMismatch(ValidationError):
 
 
 class IterationLimit(NumericalError):
-    """Active-set or Frank-Wolfe iteration cap reached."""
+    """Active-set iteration cap reached."""
 
 
 class SearchFailed(NumericalError):

@@ -113,6 +113,9 @@ def _parse_structured(text: str) -> tuple[UnitVectorSystem, dict]:
             raise ParseError('"labels" must be a list')
         if len(labels) != len(rows):
             raise ShapeError(f"{len(labels)} labels for {len(rows)} vectors")
+        for idx, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise ParseError(f"label {idx} must be a string, got {label!r}")
     overrides = {}
     tols = obj.get("tolerances")
     if tols is not None:

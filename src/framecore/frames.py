@@ -31,6 +31,9 @@ from .numerics import DEFAULT_TOL, SpectralData, Tolerances, rank_of, sym_eig
 # renormalized with a warning (file round-tripping loses digits).
 RENORM_LIMIT = 1e-6
 
+# |coherence - welch| at or below this is Welch equality (bounds_card, is_etf).
+WELCH_EQ_ABS = 1e-7
+
 
 @dataclass(frozen=True)
 class UnitVectorSystem:
@@ -324,7 +327,7 @@ def is_etf(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> bool:
     structural = tightness(system, tol).tight and equi
     if m > n:
         gm = gram(system)
-        welch_route = abs(gm.coherence - welch_bound(m, n)) <= 1e-7
+        welch_route = abs(gm.coherence - welch_bound(m, n)) <= WELCH_EQ_ABS
         if welch_route != structural:
             raise InconsistentVerdict(
                 "tight+equiangular and Welch-equality routes disagree "
@@ -343,7 +346,7 @@ def bounds_card(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> Boun
     alpha = gram(system).coherence
     if m > n:
         w = welch_bound(m, n)
-        meets = abs(alpha - w) <= 1e-7
+        meets = abs(alpha - w) <= WELCH_EQ_ABS
     else:
         w = None
         meets = None

@@ -6,9 +6,9 @@ is LAPACK's ``eigh`` with a fixed order and sign convention.  One SVD,
 into the row space of a matrix and its complement at the ``rank_rel``
 cutoff, which gives the tolerance-aware rank, span bases and the completion
 of an orthonormal row set to a full basis.  Nonnegative least squares with
-a feasibility certificate and the minimum-norm point of a convex hull are
-implemented here.  These are the decision engines behind the vector
-classification and the complement pipeline.
+a feasibility certificate is the one convex solver; the minimum-norm point
+of a convex hull is a single query to it.  These are the decision engines
+behind the vector classification and the complement pipeline.
 """
 
 from __future__ import annotations
@@ -167,14 +167,15 @@ def orthonormal_complement(rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 class ConeResult:
     """Outcome of a conic-feasibility query.
 
-    Feasible: ``weights`` >= 0 with || sum_i weights_i u_i - target || <=
-    hull_abs.  Infeasible: ``certificate`` is the least-squares residual r,
+    ``weights`` are the NNLS solution lam >= 0 on both outcomes.
+    Feasible: || sum_i lam_i u_i - target || <= hull_abs.  Infeasible:
+    ``certificate`` is the least-squares residual r = target - sum_i lam_i u_i,
     which satisfies <r, u_i> <= hull_abs for every generator and
     <r, target> > hull_abs (a separating direction).
     """
 
     feasible: bool
-    weights: np.ndarray | None
+    weights: np.ndarray
     certificate: np.ndarray | None
     residual_norm: float
 
@@ -237,16 +238,26 @@ def nnls_cone_feasible(generators, target, tol: Tolerances = DEFAULT_TOL) -> Con
     rnorm = float(np.linalg.norm(residual))
     if rnorm <= tol.hull_abs:
         return ConeResult(True, x, None, rnorm)
-    return ConeResult(False, None, residual, rnorm)
+    return ConeResult(False, x, residual, rnorm)
 
 
 def min_norm_point(points, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm point of conv{points} with its convex weights.
+    """Minimum-norm point p of conv{points} with its convex weights.
 
-    Frank-Wolfe with away steps and exact line search, starting from the
-    centroid; stops once the dual gap certifies ||p|| within 1e-7 of the
-    minimum, i.e. <p, u_i> >= ||p||^2 - 1e-7 for every point u_i.  Capped
-    at 10000 iterations (IterationLimit beyond that).
+    One NNLS query, the least-distance reduction of Lawson & Hanson
+    (*Solving Least Squares Problems*, 1974, ch. 23).  With c the largest
+    point norm (1 if all are 0), the generators are (u_i / c, 1) and the
+    target is e_{n+1}; the scaling keeps the last coordinate comparable to
+    the others, so the result does not degrade with the points' scale.
+    The NNLS weights lam give the residual r = (-q, 1 - s) with
+    q = sum_i lam_i u_i / c and s = sum_i lam_i > 0 (at lam = 0 every
+    generator still reduces the residual).  The KKT conditions read
+    <u_i / c, q> >= 1 - s for every i, with equality where lam_i > 0;
+    summed against lam they give s (1 - s) = ||q||^2.  Dividing by s^2,
+    p = (lam / s) @ U satisfies <u_i, p> >= ||p||^2 for every i, with
+    equality on the support: the optimality condition of the minimum-norm
+    point.  ``tol`` is accepted for signature compatibility; the result
+    does not depend on it.
     """
     U = [np.asarray(p, dtype=float).ravel() for p in points]
     if not U:
@@ -258,45 +269,10 @@ def min_norm_point(points, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, n
     if not np.all(np.isfinite(U)):
         raise NonFinite("points contain NaN or Inf")
 
-    k = U.shape[0]
-    lam = np.full(k, 1.0 / k)
-    for _ in range(10_000):
-        # Recompute from the weights each round so the iterate cannot
-        # drift away from conv{points}.
-        x = lam @ U
-        f = float(x @ x)
-        scores = U @ x
-        gap = f - float(scores.min())
-        if np.sqrt(f) <= 1e-12 or gap <= max(1e-20, 1e-9 * f):
-            lam = np.clip(lam, 0.0, None)
-            lam = lam / lam.sum()
-            return lam @ U, lam
-        s = int(np.argmin(scores))
-        active = lam > 1e-15
-        away_scores = np.where(active, scores, -np.inf)
-        a = int(np.argmax(away_scores))
-        gap_fw = f - scores[s]
-        gap_away = scores[a] - f
-        if gap_fw >= gap_away:
-            d = U[s] - x
-            gamma_max = 1.0
-        else:
-            d = x - U[a]
-            gamma_max = lam[a] / (1.0 - lam[a]) if lam[a] < 1.0 - 1e-15 else 0.0
-        dd = float(d @ d)
-        if dd <= 0.0 or gamma_max <= 0.0:
-            # Degenerate direction with a positive gap cannot occur for a
-            # genuine simplex iterate; treat as converged-by-stall.
-            lam = np.clip(lam, 0.0, None)
-            lam = lam / lam.sum()
-            return lam @ U, lam
-        gamma = min(gamma_max, max(0.0, -float(x @ d) / dd))
-        if gap_fw >= gap_away:
-            lam = (1.0 - gamma) * lam
-            lam[s] += gamma
-        else:
-            lam = (1.0 + gamma) * lam
-            lam[a] -= gamma
-        lam = np.clip(lam, 0.0, None)
-        lam = lam / lam.sum()
-    raise IterationLimit("minimum-norm search exceeded 10000 iterations")
+    scale = float(np.linalg.norm(U, axis=1).max()) or 1.0
+    generators = np.hstack([U / scale, np.ones((U.shape[0], 1))])
+    target = np.zeros(n + 1)
+    target[n] = 1.0
+    lam = nnls_cone_feasible(generators, target, tol).weights
+    lam = lam / lam.sum()
+    return lam @ U, lam

@@ -15,6 +15,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .coreanalysis import (
+    EIGEN_SPAN_ABS,
     CoreTrace,
     core,
     eigen_span_diagnostic,
@@ -24,6 +25,7 @@ from .coreanalysis import (
 )
 from .errors import InconsistentVerdict
 from .frames import (
+    WELCH_EQ_ABS,
     UnitVectorSystem,
     bounds_card,
     drop_one_spanning,
@@ -156,7 +158,7 @@ def build_analysis_report(
             "gerzon_max_m": card.gerzon_max_m,
             "meets_welch": card.meets_welch,
             "exceeds_gerzon": card.exceeds_gerzon,
-            "welch_check_abs": _num(1e-7),
+            "welch_check_abs": _num(WELCH_EQ_ABS),
         },
         "tightness": {
             "kind": tight.kind,
@@ -194,7 +196,7 @@ def build_analysis_report(
                 "multiplicity": eig_span.multiplicity,
                 "distances": [list(map(round15, d)) for d in eig_span.distances],
                 "detail": eig_span.detail,
-                "tolerance": _num(1e-7),
+                "tolerance": _num(EIGEN_SPAN_ABS),
             },
             "tight_grassmannian": asdict(tight_diag),
             "core_validation": {"checks": _checks(core_checks.checks)},

@@ -22,8 +22,10 @@ from framecore import (
     six_in_r4,
 )
 from framecore.cli import run
+from framecore.coreanalysis import EIGEN_SPAN_ABS
 from framecore.errors import NormError, ParseError, ShapeError
 from framecore.frameio import parse_frame_with_overrides, round15
+from framecore.frames import WELCH_EQ_ABS
 from framecore.report import render_text
 from helpers import basis_plus_diagonal, random_unit_system, tripod_example
 
@@ -121,6 +123,19 @@ class TestParseFrame:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "labels",
+        ['[1, "b"]', '["a", 2.5]', '["a", null]', '[true, "b"]', '["a", ["b"]]', '[{}, "b"]'],
+        ids=["integer", "float", "null", "boolean", "nested-list", "object"],
+    )
+    def test_non_string_labels_are_parse_errors(self, monkeypatch, capsys, labels):
+        text = '{"dim": 2, "vectors": [[1, 0], [0, 1]], "labels": %s}' % labels
+        with pytest.raises(ParseError):
+            parse_frame(text)
+        code, out, err = run_cli(monkeypatch, capsys, ["analyze", "-"], stdin=text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: label ") and "Traceback" not in err
+
 
 class TestReport:
     def test_json_round_trip(self):
@@ -153,6 +168,11 @@ class TestReport:
         assert "tolerance" in report["tightness"]
         assert "tolerance" in report["equiangular"]
         assert "tolerance" in report["diagnostics"]["drop_one_spanning"]
+
+    def test_fixed_bounds_are_echoed_from_their_constants(self):
+        report = build_analysis_report(simplex_etf(4))
+        assert report["bounds"]["welch_check_abs"] == WELCH_EQ_ABS
+        assert report["diagnostics"]["eigen_span"]["tolerance"] == EIGEN_SPAN_ABS
 
     def test_singleton_report(self):
         report = build_analysis_report(UnitVectorSystem.from_vectors([[1.0, 0.0]]))
@@ -375,6 +395,43 @@ class TestCommands:
     def test_unknown_flag_is_usage_error(self, monkeypatch, capsys):
         code, _, _ = run_cli(monkeypatch, capsys, ["analyze", "--bogus"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "six_in_r4", "--format", "text"],
+            ["construct", "six_in_r4", "--tol-eq", "1e-3"],
+            ["construct", "six_in_r4", "--tol-neighbor", "1e-3"],
+            ["construct", "six_in_r4", "--tol-hull", "1e-3"],
+            ["catalog", "--m", "6", "--n", "4", "--tol-eq", "1e-3"],
+            ["catalog", "--m", "6", "--n", "4", "--tol-neighbor", "1e-3"],
+            ["catalog", "--m", "6", "--n", "4", "--tol-hull", "1e-3"],
+            ["naimark", "-", "--format", "text"],
+            ["double", "-", "--format", "text"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_flags_a_command_does_not_read_are_usage_errors(self, monkeypatch, capsys, argv):
+        code, out, err = run_cli(monkeypatch, capsys, argv, stdin=emit_frame(six_in_r4()))
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: unrecognized arguments: " + argv[-2])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "six_in_r4"],
+            ["catalog", "--m", "6", "--n", "4", "--format", "text"],
+            ["naimark", "-", "--tol-eq", "1e-9", "--tol-neighbor", "1e-8"],
+            ["double", "-", "--tol-hull", "1e-9"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_flags_a_command_reads_are_accepted(self, monkeypatch, capsys, tmp_path, argv):
+        path = tmp_path / "out.txt"
+        argv = [*argv, "--out", str(path)]
+        code, out, _ = run_cli(monkeypatch, capsys, argv, stdin=emit_frame(six_in_r4()))
+        assert (code, out) == (0, "")
+        assert path.read_text()
 
     def test_parse_error_exit_code(self, monkeypatch, capsys):
         code, _, _ = run_cli(monkeypatch, capsys, ["analyze", "-"], stdin="2 0\n")

@@ -335,6 +335,20 @@ class TestConeFeasibility:
                 assert float(r @ target) > tol.hull_abs
         assert feasible_seen > 20 and infeasible_seen > 20
 
+    def test_infeasible_result_carries_its_weights(self):
+        rng = np.random.default_rng(322)
+        seen = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            gens = rng.standard_normal((int(rng.integers(1, 8)), n))
+            target = rng.standard_normal(n)
+            res = nnls_cone_feasible(gens, target)
+            assert res.weights.shape == (len(gens),) and res.weights.min() >= 0.0
+            if not res.feasible:
+                seen += 1
+                assert np.array_equal(res.certificate, target - np.column_stack(gens) @ res.weights)
+        assert seen > 20
+
 
 class TestMinNormPoint:
     def test_singleton(self):
@@ -374,6 +388,41 @@ class TestMinNormPoint:
             pts = [rng.standard_normal(n) for _ in range(k)]
             p, _ = min_norm_point(pts)
             assert abs(np.linalg.norm(p) - grid_min_norm(pts)) <= 1e-6
+
+    def test_certificate_on_seeded_hulls_at_every_scale(self):
+        # Up to 59 points in up to R^19, some shifted away from the origin;
+        # the corpus includes hulls on which a Frank-Wolfe iteration capped
+        # at 10,000 steps does not converge.
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            k, n = int(rng.integers(1, 60)), int(rng.integers(1, 20))
+            base = rng.standard_normal((k, n))
+            if rng.random() < 0.5:
+                base += rng.standard_normal(n) * rng.uniform(0.0, 3.0)
+            for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                pts = scale * base
+                p, lam = min_norm_point(pts)
+                assert lam.shape == (k,) and lam.min() >= 0.0
+                assert abs(lam.sum() - 1.0) <= 1e-12
+                assert np.linalg.norm(lam @ pts - p) <= 1e-12 * scale
+                assert float((pts @ p).min()) >= float(p @ p) - 1e-12 * scale**2
+
+    def test_result_does_not_depend_on_tol(self):
+        pts = np.random.default_rng(10).standard_normal((12, 5)) + 0.5
+        p, lam = min_norm_point(pts)
+        for tol in (Tolerances(hull_abs=1e-3), Tolerances(hull_abs=1e-15, eq_abs=1e-3)):
+            q, mu = min_norm_point(pts, tol)
+            assert np.array_equal(p, q) and np.array_equal(lam, mu)
+
+    def test_input_checks(self):
+        with pytest.raises(DimensionMismatch):
+            min_norm_point([])
+        with pytest.raises(DimensionMismatch):
+            min_norm_point([[1.0, 0.0], [1.0]])
+        with pytest.raises(NonFinite):
+            min_norm_point([[1.0, np.nan]])
+        with pytest.raises(NonFinite):
+            min_norm_point([[np.inf, 0.0]])
 
     def test_zero_in_interior(self):
         # three planar directions whose hull strictly contains the origin
