@@ -1,115 +1,88 @@
-"""Coherence analysis and core extraction for finite unit-norm frames."""
+"""Coherence analysis and core extraction for finite unit-norm frames.
 
-from .constructions import (
-    AngleCatalogEntry,
-    angle_catalog,
-    catalog_consistency,
-    circular_frame,
-    double,
-    mub_r2,
-    naimark_complement,
-    simplex_etf,
-    six_in_r4,
-    tight_completion,
-)
-from .coreanalysis import (
-    CoreTrace,
-    VectorVerdict,
-    classify_n_plus_2,
-    classify_vector,
-    core,
-    eigen_span_diagnostic,
-    isolable_set,
-    neighbor_count_report,
-    perturb_replace,
-    replace_all_isolable,
-    tight_grassmannian_diagnostic,
-    validate_core,
-)
-from .frames import (
-    BoundsCard,
-    GramMatrix,
-    NeighborSet,
-    UnitVectorSystem,
-    bounds_card,
-    drop_one_spanning,
-    frame_operator,
-    gram,
-    is_equiangular,
-    is_etf,
-    neighbors,
-    reconstruct,
-    spans,
-    spectral_data,
-    tightness,
-    welch_bound,
-)
-from .frameio import emit_frame, parse_frame
-from .numerics import (
-    ConeResult,
-    SpectralData,
-    Tolerances,
-    min_norm_point,
-    nnls_cone_feasible,
-    orthonormal_complement,
-    rank_of,
-    row_space,
-    sym_eig,
-)
-from .report import build_analysis_report, emit_report
+The public names are resolved on first access (PEP 562), so importing the
+package, or one of its submodules, executes only the submodules that are
+used.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleCatalogEntry",
-    "BoundsCard",
-    "ConeResult",
-    "CoreTrace",
-    "GramMatrix",
-    "NeighborSet",
-    "SpectralData",
-    "Tolerances",
-    "UnitVectorSystem",
-    "VectorVerdict",
-    "angle_catalog",
-    "bounds_card",
-    "build_analysis_report",
-    "catalog_consistency",
-    "circular_frame",
-    "classify_n_plus_2",
-    "classify_vector",
-    "core",
-    "double",
-    "drop_one_spanning",
-    "eigen_span_diagnostic",
-    "emit_frame",
-    "emit_report",
-    "frame_operator",
-    "gram",
-    "is_equiangular",
-    "is_etf",
-    "isolable_set",
-    "min_norm_point",
-    "mub_r2",
-    "naimark_complement",
-    "neighbor_count_report",
-    "neighbors",
-    "nnls_cone_feasible",
-    "orthonormal_complement",
-    "parse_frame",
-    "perturb_replace",
-    "rank_of",
-    "reconstruct",
-    "replace_all_isolable",
-    "row_space",
-    "simplex_etf",
-    "six_in_r4",
-    "spans",
-    "spectral_data",
-    "sym_eig",
-    "tight_completion",
-    "tight_grassmannian_diagnostic",
-    "tightness",
-    "validate_core",
-    "welch_bound",
-]
+# public name -> submodule that defines it
+_HOMES = {
+    "constructions": (
+        "AngleCatalogEntry",
+        "angle_catalog",
+        "catalog_consistency",
+        "circular_frame",
+        "double",
+        "mub_r2",
+        "naimark_complement",
+        "simplex_etf",
+        "six_in_r4",
+        "tight_completion",
+    ),
+    "coreanalysis": (
+        "CoreTrace",
+        "VectorVerdict",
+        "classify_n_plus_2",
+        "classify_vector",
+        "core",
+        "eigen_span_diagnostic",
+        "isolable_set",
+        "neighbor_count_report",
+        "perturb_replace",
+        "replace_all_isolable",
+        "tight_grassmannian_diagnostic",
+        "validate_core",
+    ),
+    "frames": (
+        "BoundsCard",
+        "GramMatrix",
+        "NeighborSet",
+        "UnitVectorSystem",
+        "bounds_card",
+        "drop_one_spanning",
+        "frame_operator",
+        "gram",
+        "is_equiangular",
+        "is_etf",
+        "neighbors",
+        "reconstruct",
+        "spans",
+        "spectral_data",
+        "tightness",
+        "welch_bound",
+    ),
+    "frameio": ("emit_frame", "parse_frame"),
+    "numerics": (
+        "ConeResult",
+        "SpectralData",
+        "Tolerances",
+        "min_norm_point",
+        "nnls_cone_feasible",
+        "orthonormal_complement",
+        "rank_of",
+        "row_space",
+        "sym_eig",
+    ),
+    "report": ("build_analysis_report", "emit_report"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

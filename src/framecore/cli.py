@@ -11,20 +11,11 @@ failure.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 
 import numpy as np
 
-from . import constructions
-from .coreanalysis import (
-    classify_vector,
-    core,
-    eigen_span_diagnostic,
-    isolable_set,
-    neighbor_count_report,
-    tight_grassmannian_diagnostic,
-    validate_core,
-)
 from .errors import NumericalError, ValidationError
 from .frames import (
     UnitVectorSystem,
@@ -36,16 +27,33 @@ from .frames import (
     tightness,
     welch_bound,
 )
-from .frameio import emit_frame, parse_frame_with_overrides, round15
+from .frameio import emit_frame, emit_json, parse_frame_with_overrides, round15
 from .numerics import Tolerances
-from .report import (
-    build_analysis_report,
-    core_trace_dict,
-    emit_report,
-    render_text,
-    tolerances_dict,
-    verdict_dict,
-)
+
+
+def _lazy(name: str):
+    """The submodule ``framecore.<name>``, executed on its first attribute access.
+
+    It is registered in ``sys.modules`` and on the package at once, like an
+    eager import, so code that walks the package's modules finds it.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# The analysis commands never execute ``constructions``, and the transform
+# commands never execute ``coreanalysis`` or ``report``.
+coreanalysis = _lazy("coreanalysis")
+report = _lazy("report")
+constructions = _lazy("constructions")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,16 +87,16 @@ def _build_parser() -> _Parser:
     )
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="write output to this path")
-    report, transform = [tols, fmt, out], [tols, out]
+    analysis, transform = [tols, fmt, out], [tols, out]
 
     parser = _Parser(prog="framecore", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=report, help="full analysis report")
+    p = sub.add_parser("analyze", parents=analysis, help="full analysis report")
     p.add_argument("file", nargs="?", default="-")
-    p = sub.add_parser("core", parents=report, help="core extraction trace")
+    p = sub.add_parser("core", parents=analysis, help="core extraction trace")
     p.add_argument("file", nargs="?", default="-")
-    p = sub.add_parser("classify", parents=report, help="per-vector verdicts")
+    p = sub.add_parser("classify", parents=analysis, help="per-vector verdicts")
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("--index", type=int, default=None, help="classify only this vector")
     p = sub.add_parser("naimark", parents=transform, help="complementary system")
@@ -104,7 +112,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("catalog", parents=[fmt, out], help="exactly known packing angles")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p = sub.add_parser("check", parents=report, help="invariant suite for one file")
+    p = sub.add_parser("check", parents=analysis, help="invariant suite for one file")
     p.add_argument("file", nargs="?", default="-")
     return parser
 
@@ -137,23 +145,23 @@ def _write(args, payload: str) -> None:
         sys.stdout.write(payload)
 
 
-def _emit(args, report: dict, text_renderer) -> None:
+def _emit(args, payload: dict, text_renderer) -> None:
     if args.format == "json":
-        _write(args, emit_report(report))
+        _write(args, report.emit_report(payload))
     else:
-        _write(args, text_renderer(report))
+        _write(args, text_renderer(payload))
 
 
 def _cmd_analyze(args) -> int:
     system, tol = _load(args)
-    _emit(args, build_analysis_report(system, tol), render_text)
+    _emit(args, report.build_analysis_report(system, tol), report.render_text)
     return EXIT_OK
 
 
 def _cmd_core(args) -> int:
     system, tol = _load(args)
-    trace = core(system, tol)
-    payload = {"tolerances": tolerances_dict(tol), **core_trace_dict(trace)}
+    trace = coreanalysis.core(system, tol)
+    payload = {"tolerances": report.tolerances_dict(tol), **report.core_trace_dict(trace)}
 
     def text(rep: dict) -> str:
         lines = []
@@ -178,12 +186,12 @@ def _cmd_classify(args) -> int:
             raise ValidationError(
                 f"--index {args.index} out of range for {system.size} vectors"
             )
-        verdicts = [classify_vector(system, args.index, tol)]
+        verdicts = [coreanalysis.classify_vector(system, args.index, tol)]
     else:
-        verdicts = list(isolable_set(system, tol).verdicts)
+        verdicts = list(coreanalysis.isolable_set(system, tol).verdicts)
     payload = {
-        "tolerances": tolerances_dict(tol),
-        "verdicts": [verdict_dict(v) for v in verdicts],
+        "tolerances": report.tolerances_dict(tol),
+        "verdicts": [report.verdict_dict(v) for v in verdicts],
     }
 
     def text(rep: dict) -> str:
@@ -254,6 +262,10 @@ def _cmd_catalog(args) -> int:
     if args.n < 2 or args.m <= args.n:
         raise ValidationError(f"catalog needs m > n >= 2, got m={args.m}, n={args.n}")
     entries = constructions.angle_catalog(args.m, args.n)
+    if args.format == "text":
+        text = "".join(f"{e.kind} ({e.rule}): {e.value:.12g}\n" for e in entries)
+        _write(args, text or "unknown\n")
+        return EXIT_OK
     payload = {
         "m": args.m,
         "n": args.n,
@@ -262,13 +274,7 @@ def _cmd_catalog(args) -> int:
             {"kind": e.kind, "rule": e.rule, "value": round15(e.value)} for e in entries
         ],
     }
-
-    def text(rep: dict) -> str:
-        if not entries:
-            return "unknown\n"
-        return "".join(f"{e.kind} ({e.rule}): {e.value:.12g}\n" for e in entries)
-
-    _emit(args, payload, text)
+    _write(args, emit_json(payload))  # not report.emit_report: catalog runs no analysis
     return EXIT_OK
 
 
@@ -327,8 +333,8 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
     else:
         add("etf_route_consistency", "SKIP", "needs m >= 2")
 
-    trace = core(system, tol)
-    for name, status, detail in neighbor_count_report(system, trace, tol).checks:
+    trace = coreanalysis.core(system, tol)
+    for name, status, detail in coreanalysis.neighbor_count_report(system, trace, tol).checks:
         add(f"neighbor_counts.{name}", status, detail)
 
     if spanning:
@@ -345,13 +351,13 @@ def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
     else:
         add("reconstruction_identity", "SKIP", "system does not span")
 
-    eig = eigen_span_diagnostic(system, trace, tol)
+    eig = coreanalysis.eigen_span_diagnostic(system, trace, tol)
     add("eigen_span", eig.status, eig.detail)
 
-    diag = tight_grassmannian_diagnostic(system, tol)
+    diag = coreanalysis.tight_grassmannian_diagnostic(system, tol)
     add(diag.name, diag.status, diag.detail)
 
-    for name, status, detail in validate_core(system, trace, tol).checks:
+    for name, status, detail in coreanalysis.validate_core(system, trace, tol).checks:
         add(f"core_validation.{name}", status, detail)
 
     return checks
@@ -361,7 +367,7 @@ def _cmd_check(args) -> int:
     system, tol = _load(args)
     checks = run_check_suite(system, tol)
     failed = sum(c["status"] == "FAIL" for c in checks)
-    payload = {"tolerances": tolerances_dict(tol), "checks": checks, "failed": failed}
+    payload = {"tolerances": report.tolerances_dict(tol), "checks": checks, "failed": failed}
 
     def text(rep: dict) -> str:
         lines = [f"{c['name']}: {c['status']} ({c['detail']})" for c in rep["checks"]]
@@ -406,3 +412,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -664,8 +664,10 @@ def eigen_span_diagnostic(
     eigenvector, so the check reports distances for each candidate and is
     labeled AMBIGUOUS instead of pass/fail.  Each vector's neighbors and
     their rank are read from level 0 of ``trace`` (``core(system, tol)``):
-    when the neighbors span R^n the distance is exactly 0.0, and only the
-    other vectors get an SVD of {x} union neighbors.
+    when the neighbors span R^n the distance is exactly 0.0, a vector with
+    no neighbors is at distance ||e - <x, e> x||, computed for all such
+    vectors at once, and only the other vectors get an SVD of {x} union
+    neighbors.
     """
     m, n = system.size, system.dim
     if m <= n:
@@ -673,15 +675,23 @@ def eigen_span_diagnostic(
     spec = spectral_data(system)
     k = spec.top_multiplicity(tol.eq_abs)
     top = spec.eigenvectors[:, :k]
+    verdicts = trace.levels[0].isolable.verdicts
+    lone = [v.index for v in verdicts if not v.neighbors]
+    X = system.vectors[lone]
+    # (vectors, k, n): each top eigenvector minus its projection onto each x
+    lone_distances = np.linalg.norm(top.T - (X @ top)[:, :, None] * X[:, None, :], axis=2)
+    lone_rows = iter(lone_distances.tolist())
     per_vector: list[tuple[float, ...]] = []
-    for v in trace.levels[0].isolable.verdicts:
+    for v in verdicts:
         if v.neighbor_rank == n:
             per_vector.append((0.0,) * k)
-            continue
-        basis = row_space(system.vectors[[v.index] + list(v.neighbors)], tol)[0]
-        per_vector.append(
-            tuple(float(np.linalg.norm(e - basis.T @ (basis @ e))) for e in top.T)
-        )
+        elif not v.neighbors:
+            per_vector.append(tuple(next(lone_rows)))
+        else:
+            basis = row_space(system.vectors[[v.index] + list(v.neighbors)], tol)[0]
+            per_vector.append(
+                tuple(float(np.linalg.norm(e - basis.T @ (basis @ e))) for e in top.T)
+            )
     if k > 1:
         return EigenSpanReport(
             "AMBIGUOUS",

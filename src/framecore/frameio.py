@@ -131,12 +131,37 @@ def _parse_structured(text: str) -> tuple[UnitVectorSystem, dict]:
     return UnitVectorSystem.from_vectors(np.array(rows), labels=labels), overrides
 
 
-def emit_frame(system: UnitVectorSystem) -> str:
-    """Serialize a system to the structured format (15 significant digits)."""
-    payload: dict = {
-        "dim": system.dim,
-        "vectors": [[round15(v) for v in row] for row in system.vectors],
-    }
-    if system.labels:
-        payload["labels"] = list(system.labels)
+def emit_json(payload) -> str:
+    """The JSON text of a report or other payload: indent 2, newline-terminated."""
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _coordinate(v: float) -> str:
+    """``json.dumps(round15(v))``, from one 15-significant-digit formatting.
+
+    A normal double keeps every 15-digit decimal apart, so outside exponent
+    form (1e-4 <= |v| < 1e15) ``%.15g`` is the shortest repr of
+    ``round15(v)`` without its ``.0``.  In exponent form repr decides,
+    because a subnormal holds fewer than 15 digits.
+    """
+    text = f"{v:.15g}"
+    if "e" in text:
+        return repr(float(text))
+    return text if "." in text else text + ".0"
+
+
+def emit_frame(system: UnitVectorSystem) -> str:
+    """Serialize a system to the structured format (15 significant digits).
+
+    The text is ``emit_json`` of ``{"dim", "vectors", "labels"?}`` with
+    ``round15`` applied to every coordinate, built in one pass.
+    """
+    rows = ",\n".join(
+        "    [\n      " + ",\n      ".join(map(_coordinate, row)) + "\n    ]"
+        for row in system.vectors.tolist()
+    )
+    members = [f'  "dim": {system.dim}', f'  "vectors": [\n{rows}\n  ]']
+    if system.labels:
+        labels = ",\n".join("    " + json.dumps(label) for label in system.labels)
+        members.append(f'  "labels": [\n{labels}\n  ]')
+    return "{\n" + ",\n".join(members) + "\n}\n"

@@ -9,7 +9,6 @@ decided under so a reader can reproduce the verdict.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 
 import numpy as np
@@ -35,7 +34,7 @@ from .frames import (
     spectral_data,
     tightness,
 )
-from .frameio import round15
+from .frameio import emit_json, round15
 from .numerics import DEFAULT_TOL, Tolerances
 
 
@@ -209,7 +208,7 @@ def build_analysis_report(
 def emit_report(report: dict, fmt: str = "json") -> str:
     """Render a report dict as JSON (stable) or readable text."""
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return emit_json(report)
     if fmt == "text":
         return render_text(report)
     raise ValueError(f"unknown format {fmt!r}")

@@ -464,13 +464,13 @@ class TestCommands:
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         # a numerical error escaping a command maps to exit 3
-        from framecore import cli
+        from framecore import report
         from framecore.errors import VerificationError
 
         def fail(*args, **kwargs):
             raise VerificationError("simulated verification failure")
 
-        monkeypatch.setattr(cli, "build_analysis_report", fail)
+        monkeypatch.setattr(report, "build_analysis_report", fail)
         code, out, err = run_cli(monkeypatch, capsys, ["analyze", "-"], stdin="1 0\n0 1\n")
         assert code == 3 and out == ""
         assert "numerical failure: simulated verification failure" in err

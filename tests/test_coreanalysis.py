@@ -812,8 +812,10 @@ class TestLevelVerdictsAreReused:
             assert len(calls) == sum(len(level.members) for level in trace.levels)
 
     def test_eigen_span_skips_full_rank_vectors(self, monkeypatch):
+        # An SVD only for vectors whose neighbors exist but do not span R^n:
+        # spanning neighbors give 0.0, no neighbors give ||e - <x, e> x||.
         tol = DEFAULT_TOL
-        seen_full = seen_deficient = 0
+        seen_full = seen_deficient = seen_lone = 0
         for X in _level0_corpus():
             n = X.dim
             trace = core(X, tol)
@@ -831,7 +833,7 @@ class TestLevelVerdictsAreReused:
                 rep = eigen_span_diagnostic(X, trace, tol)
             assert rep.status == status
             assert rep.multiplicity == len(expected[0])
-            deficient = [v for v in verdicts if v.neighbor_rank < n]
+            deficient = [v for v in verdicts if v.neighbors and v.neighbor_rank < n]
             assert len(calls) == len(deficient)
             for rows, v in zip(calls, deficient):
                 assert np.array_equal(rows, X.vectors[[v.index] + list(v.neighbors)])
@@ -840,10 +842,17 @@ class TestLevelVerdictsAreReused:
                     seen_full += 1
                     assert got == (0.0,) * len(ref)
                     assert max(ref) <= 1e-12
+                elif not v.neighbors:
+                    seen_lone += 1
+                    x = X.vectors[v.index]
+                    top = spectral_data(X).eigenvectors[:, : len(ref)]
+                    direct = [np.linalg.norm(e - (x @ e) * x) for e in top.T]
+                    assert np.allclose(got, direct, rtol=0, atol=1e-15)
+                    assert np.allclose(got, ref, rtol=0, atol=1e-14)
                 else:
                     seen_deficient += 1
                     assert got == ref
-        assert seen_full and seen_deficient
+        assert seen_full and seen_deficient and seen_lone
 
     def test_validate_core_reads_the_final_level(self, monkeypatch):
         tol = DEFAULT_TOL

@@ -1,5 +1,8 @@
 """Property tests: verdicts follow row permutations and sign flips, ignore
-orthogonal rotations, and the core is a fixed point."""
+orthogonal rotations, and the core is a fixed point; frame files are
+written byte for byte as the JSON encoder writes them and read back exactly."""
+
+import json
 
 import numpy as np
 import pytest
@@ -13,11 +16,14 @@ from framecore import (  # noqa: E402
     circular_frame,
     core,
     drop_one_spanning,
+    emit_frame,
     isolable_set,
     mub_r2,
+    parse_frame,
     simplex_etf,
     six_in_r4,
 )
+from framecore.frameio import round15  # noqa: E402
 from helpers import basis_plus_diagonal, tripod_example  # noqa: E402
 
 # Derandomized so the suite is deterministic; no example database is written.
@@ -104,3 +110,57 @@ def test_core_is_idempotent(system):
         inner = core(system.restrict(members))
         assert inner.core == tuple(range(len(members)))
         assert len(inner.levels) == 1
+
+
+def _reference_emit_frame(system):
+    """The frame emitter before it formatted coordinates itself: round15 + json.dumps."""
+    payload = {"dim": system.dim, "vectors": [[round15(v) for v in row] for row in system.vectors]}
+    if system.labels:
+        payload["labels"] = list(system.labels)
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# Signed zeros, subnormals, the smallest normal, and values on both sides of
+# 1e-4 and 1e-5, where %g switches between fixed and exponent form.
+_SMALL = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-5, 9.99999999999999e-6,
+          9.999999999999999e-6, 1.00000000000001e-5, 1e-4, 9.99999999999999e-5,
+          9.999999999999999e-5, 1.00000000000001e-4, 0.1, 0.25)
+_LABEL_TEXT = st.text(st.sampled_from('a"\\/\n\té日\u2028 '), max_size=6) | st.text(max_size=4)
+
+
+@st.composite
+def unit_rows(draw, n):
+    """One unit row: +-e_i padded with tiny entries, or small entries plus a slack coordinate."""
+    signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=n, max_size=n))
+    at = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):  # the squares of zeros and subnormals vanish: norm exactly 1
+        row = [s * draw(st.sampled_from(_SMALL[:4])) for s in signs]
+        row[at] = signs[at]
+    else:  # at most 4 entries of at most 0.4 leave the slack coordinate real
+        small = st.sampled_from(_SMALL) | st.floats(9e-6, 2e-4) | st.floats(0.0, 0.4)
+        row = [s * draw(small) for s in signs]
+        row[at] = 0.0
+        row[at] = signs[at] * np.sqrt(1.0 - sum(v * v for v in row))
+    return row
+
+
+@st.composite
+def emitted_systems(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    rows = [draw(unit_rows(n)) for _ in range(m)]
+    labels = draw(st.none() | st.lists(_LABEL_TEXT, min_size=m, max_size=m))
+    return UnitVectorSystem.from_vectors(np.array(rows), labels=labels)
+
+
+@PROPERTY
+@given(emitted_systems())
+def test_emit_frame_matches_the_json_encoder_and_parses_back_exactly(system):
+    text = emit_frame(system)
+    assert text == _reference_emit_frame(system)
+    back = parse_frame(text)
+    rounded = UnitVectorSystem.from_vectors(
+        [[round15(v) for v in row] for row in system.vectors], labels=system.labels
+    )
+    assert back.labels == rounded.labels == system.labels
+    assert back.vectors.tobytes() == rounded.vectors.tobytes()  # signed zeros included

@@ -1,0 +1,105 @@
+"""What a command-line child executes: entry points, lazy package names, and
+the modules each command runs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import framecore
+from framecore import emit_frame, six_in_r4
+from framecore.cli import run
+
+SRC = Path(framecore.__file__).resolve().parents[1]
+SUBMODULES = sorted(
+    p.stem for p in (SRC / "framecore").glob("*.py") if p.stem not in ("__init__", "__main__")
+)
+
+# Imports the CLI in a fresh interpreter, runs one command and reports which
+# framecore modules are registered and which have executed.  A module whose
+# execution LazyLoader defers keeps a ModuleType subclass until its first
+# attribute access runs it.
+PROBE = """
+import contextlib, io, json, sys, types
+import framecore.cli
+registered = sorted(k for k in sys.modules if k.startswith("framecore."))
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = framecore.cli.run(sys.argv[1:])
+executed = sorted(
+    k for k, m in sys.modules.items() if k.startswith("framecore.") and type(m) is types.ModuleType
+)
+print(json.dumps({"code": code, "registered": registered, "executed": executed}))
+"""
+
+ANALYSIS = ("analyze", "core", "classify", "check")
+TRANSFORMS = ("naimark", "double")
+
+
+def _child(args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, **kwargs
+    )
+
+
+@pytest.fixture(scope="module")
+def frame_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("frames") / "six.json"
+    path.write_text(emit_frame(six_in_r4()), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[c] for c in ANALYSIS + TRANSFORMS]
+    + [["construct", "six_in_r4"], ["catalog", "--m", "6", "--n", "4"]],
+    ids=lambda argv: argv[0],
+)
+def test_each_command_executes_only_the_modules_it_runs(argv, frame_path):
+    if argv[0] in ANALYSIS + TRANSFORMS:
+        argv = argv + [frame_path]
+    done = _child(["-c", PROBE, *argv])
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert probe["code"] == 0
+    # Every module is registered at import, as code that walks sys.modules expects.
+    assert probe["registered"] == [f"framecore.{m}" for m in SUBMODULES]
+    executed = {name.removeprefix("framecore.") for name in probe["executed"]}
+    assert {"cli", "errors", "frameio", "frames", "numerics"} <= executed
+    if argv[0] in ANALYSIS:
+        assert "constructions" not in executed
+        assert {"coreanalysis", "report"} <= executed
+    else:
+        assert not executed & {"coreanalysis", "report"}
+        assert "constructions" in executed
+
+
+def test_public_names_resolve_to_their_home_modules():
+    for name in framecore.__all__:
+        value = getattr(framecore, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("framecore.")
+        assert getattr(home, name) is value, name
+    namespace = {}
+    exec("from framecore import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(framecore.__all__)
+    assert set(framecore.__all__) <= set(dir(framecore))
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        framecore.no_such_name  # noqa: B018
+    assert not hasattr(framecore, "no_such_name")
+
+
+@pytest.mark.parametrize("module", ["framecore", "framecore.cli"])
+def test_python_dash_m_runs_the_cli(module, monkeypatch, capsys):
+    done = _child(["-m", module, "catalog", "--m", "6", "--n", "4"])
+    code = run(["catalog", "--m", "6", "--n", "4"])
+    assert (done.returncode, done.stdout) == (code, capsys.readouterr().out)
+    assert code == 0 and done.stdout
+    done = _child(["-m", module, "construct", "circular", "--m", "1"])
+    assert done.returncode == 2 and done.stderr.startswith("error: construct circular")
