@@ -33,7 +33,6 @@ _HOMES = {
         "isolable_set",
         "neighbor_count_report",
         "perturb_replace",
-        "replace_all_isolable",
         "tight_grassmannian_diagnostic",
         "validate_core",
     ),
@@ -67,7 +66,7 @@ _HOMES = {
         "row_space",
         "sym_eig",
     ),
-    "report": ("build_analysis_report", "emit_report"),
+    "report": ("build_analysis_report", "build_check_report", "emit_report"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

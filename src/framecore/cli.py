@@ -14,19 +14,8 @@ import argparse
 import importlib.util
 import sys
 
-import numpy as np
-
 from .errors import NumericalError, ValidationError
-from .frames import (
-    UnitVectorSystem,
-    frame_operator,
-    gram,
-    is_etf,
-    reconstruct,
-    spans,
-    tightness,
-    welch_bound,
-)
+from .frames import UnitVectorSystem, gram, tightness
 from .frameio import emit_frame, emit_json, parse_frame_with_overrides, round15
 from .numerics import Tolerances
 
@@ -278,104 +267,11 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def run_check_suite(system: UnitVectorSystem, tol: Tolerances) -> list[dict]:
-    """Invariant suite for one system; FAIL entries make `check` exit 4.
-
-    The Gram matrix, the frame operator and its spectrum are computed once
-    and kept on the system; the spanning flag and the core trace are
-    computed once here, and the neighbor-count, eigen-span and
-    core-validation checks read the trace's verdicts.
-    """
-    m, n = system.size, system.dim
-    checks: list[dict] = []
-
-    def add(name: str, status: str, detail: str) -> None:
-        checks.append({"name": name, "status": status, "detail": detail})
-
-    alpha = gram(system).coherence
-    spanning = spans(system, tol=tol)
-    add("unit_norms", "PASS", "validated on load" + (
-        f" ({'; '.join(system.warnings)})" if system.warnings else ""
-    ))
-
-    trace_val = float(np.trace(frame_operator(system)))
-    ok = abs(trace_val - m) <= 1e-8 * m
-    add(
-        "frame_operator_trace",
-        "PASS" if ok else "FAIL",
-        f"trace = {trace_val!r}, expected m = {m} within 1e-8*m",
-    )
-
-    if m > n and spanning:
-        w = welch_bound(m, n)
-        ok = alpha >= w - 1e-9
-        add(
-            "welch_inequality",
-            "PASS" if ok else "FAIL",
-            f"coherence {alpha!r} vs welch {w!r} (slack 1e-9)",
-        )
-    else:
-        add("welch_inequality", "SKIP", "needs m > n and a spanning system")
-
-    verdict = tightness(system, tol)
-    add(
-        "tightness",
-        "PASS",
-        f"{verdict.kind}; max deviation from (m/n) I is {verdict.deviation!r}",
-    )
-
-    if m >= 2:
-        try:
-            flag = is_etf(system, tol)
-            add("etf_route_consistency", "PASS", f"both routes agree: etf = {flag}")
-        except NumericalError as exc:
-            add("etf_route_consistency", "FAIL", str(exc))
-    else:
-        add("etf_route_consistency", "SKIP", "needs m >= 2")
-
-    trace = coreanalysis.core(system, tol)
-    for name, status, detail in coreanalysis.neighbor_count_report(system, trace, tol).checks:
-        add(f"neighbor_counts.{name}", status, detail)
-
-    if spanning:
-        target = np.zeros(n)
-        target[0] = 1.0
-        rec = reconstruct(system, target, tol)
-        err = float(np.linalg.norm(rec - target))
-        ok = err <= 1e-7
-        add(
-            "reconstruction_identity",
-            "PASS" if ok else "FAIL",
-            f"||reconstruct(e1) - e1|| = {err:.3e} (tolerance 1e-7)",
-        )
-    else:
-        add("reconstruction_identity", "SKIP", "system does not span")
-
-    eig = coreanalysis.eigen_span_diagnostic(system, trace, tol)
-    add("eigen_span", eig.status, eig.detail)
-
-    diag = coreanalysis.tight_grassmannian_diagnostic(system, tol)
-    add(diag.name, diag.status, diag.detail)
-
-    for name, status, detail in coreanalysis.validate_core(system, trace, tol).checks:
-        add(f"core_validation.{name}", status, detail)
-
-    return checks
-
-
 def _cmd_check(args) -> int:
     system, tol = _load(args)
-    checks = run_check_suite(system, tol)
-    failed = sum(c["status"] == "FAIL" for c in checks)
-    payload = {"tolerances": report.tolerances_dict(tol), "checks": checks, "failed": failed}
-
-    def text(rep: dict) -> str:
-        lines = [f"{c['name']}: {c['status']} ({c['detail']})" for c in rep["checks"]]
-        lines.append(f"failed: {rep['failed']}")
-        return "\n".join(lines) + "\n"
-
-    _emit(args, payload, text)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    payload = report.build_check_report(system, tol)
+    _emit(args, payload, report.render_check_text)
+    return EXIT_CHECK_FAILED if payload["failed"] else EXIT_OK
 
 
 _COMMANDS = {

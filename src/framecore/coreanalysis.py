@@ -108,29 +108,19 @@ def _near_tie_warnings(row: np.ndarray, i: int, alpha: float, tol: Tolerances) -
 
 
 def _perturb_search(
-    others: np.ndarray,
-    x: np.ndarray,
-    witness: np.ndarray,
-    alpha: float,
-    tol: Tolerances,
-    eps_cap: float | None = None,
-    margin: float | None = None,
+    others: np.ndarray, x: np.ndarray, witness: np.ndarray, alpha: float, tol: Tolerances
 ) -> tuple[np.ndarray, float]:
     """Halving search for eps with |<x', y>| < alpha - margin for all y.
 
-    x' = (x + eps w)/||x + eps w||.  Starts at eps0 = min(1/2,
-    (alpha - delta)/2) with delta the largest inner product outside the
-    neighbor band, optionally capped (used by sequential replacement), and
-    halves at most 60 times.
+    x' = (x + eps w)/||x + eps w|| and margin = max(1e-12, 1e-6 alpha).
+    Starts at eps0 = min(1/2, (alpha - delta)/2) with delta the largest
+    inner product outside the neighbor band, and halves at most 60 times.
     """
-    if margin is None:
-        margin = max(1e-12, 1e-6 * alpha)
+    margin = max(1e-12, 1e-6 * alpha)
     prods = np.abs(others @ x) if others.size else np.zeros(0)
     below_band = prods[prods <= alpha - tol.neighbor_abs]
     delta = float(below_band.max()) if below_band.size else 0.0
     eps = min(0.5, (alpha - delta) / 2.0)
-    if eps_cap is not None:
-        eps = min(eps, eps_cap)
     if eps <= 0.0:
         eps = min(0.5, alpha / 2.0)
     for _ in range(60):
@@ -313,104 +303,6 @@ def isolable_set(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> Iso
             f"vectors {list(indeterminate)} are indeterminate and were kept (not removed)"
         )
     return IsolableSet(indices, indeterminate, verdicts, tuple(warnings))
-
-
-@dataclass(frozen=True)
-class ReplacementResult:
-    system: UnitVectorSystem
-    replaced: tuple[int, ...]
-    diagnostics: tuple[tuple[str, str, str], ...]
-    warnings: tuple[str, ...]
-
-
-def replace_all_isolable(
-    system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL
-) -> ReplacementResult:
-    """Sequentially replace every isolable vector below the coherence level.
-
-    Vectors are processed in ascending index order; each replacement must
-    stay strictly below the original coherence against the current working
-    set, with eps additionally capped at half the remaining gap to already
-    replaced vectors so earlier replacements are never spoiled.  Isolated
-    vectors are kept verbatim (the identity replacement already works).
-
-    The equalities coh(X') = coh(X minus I(X)) = coh(X) hold for inputs
-    that genuinely minimize coherence; they are reported as diagnostics,
-    not enforced.
-    """
-    info = isolable_set(system, tol)
-    alpha = gram(system).coherence
-    work = system.vectors.copy()
-    replaced: list[int] = []
-    warnings = list(info.warnings)
-
-    for verdict in info.verdicts:
-        if not verdict.isolable:
-            continue
-        i = verdict.index
-        if verdict.status == ISOLATED:
-            replaced.append(i)
-            continue
-        x = system.vectors[i]
-        prior = [j for j in replaced if not np.array_equal(work[j], system.vectors[j])]
-        if prior:
-            gaps = alpha - np.abs(work[prior] @ x)
-            eps_cap = float(gaps.min()) / 2.0
-        else:
-            eps_cap = None
-        others = np.delete(work, i, axis=0)
-        cand = None
-        for margin in (None, 1e-10, 1e-14):
-            try:
-                cand, _ = _perturb_search(
-                    others, x, verdict.witness, alpha, tol, eps_cap=eps_cap, margin=margin
-                )
-                break
-            except SearchFailed:
-                continue
-        if cand is None:
-            raise SearchFailed(f"replacement search failed for vector {i}")
-        work[i] = cand
-        replaced.append(i)
-
-    out = UnitVectorSystem.from_vectors(work, labels=system.labels)
-    diagnostics = []
-    for i in replaced:
-        others = np.delete(work, i, axis=0)
-        worst = float(np.max(np.abs(others @ work[i]))) if others.size else -np.inf
-        if worst >= alpha:
-            raise VerificationError(
-                f"replaced vector {i} still meets level {alpha} (worst {worst})"
-            )
-    diagnostics.append(
-        (
-            "replaced_strictly_below_level",
-            "PASS",
-            f"all {len(replaced)} replaced vectors sit strictly below {alpha}",
-        )
-    )
-    survivors = [i for i in range(system.size) if i not in set(replaced)]
-    new_coh = gram(out).coherence
-    if len(survivors) >= 2:
-        rest_coh = gram(system.restrict(survivors)).coherence
-        ok = abs(new_coh - rest_coh) <= 1e-9
-        diagnostics.append(
-            (
-                "coherence_preserved",
-                "PASS" if ok else "FAIL",
-                f"coh(X') = {new_coh!r} vs coh(X \\ I(X)) = {rest_coh!r}"
-                + ("" if ok else "; evidence input is not Grassmannian"),
-            )
-        )
-    else:
-        diagnostics.append(
-            (
-                "coherence_preserved",
-                "SKIP",
-                "fewer than two surviving vectors; no reference coherence",
-            )
-        )
-    return ReplacementResult(out, tuple(replaced), tuple(diagnostics), tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -612,15 +504,12 @@ class DiagnosticResult:
 
 
 def tight_grassmannian_diagnostic(
-    system: UnitVectorSystem,
-    tol: Tolerances = DEFAULT_TOL,
-    presumed_grassmannian: bool = False,
+    system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL
 ) -> DiagnosticResult:
     """No tight coherence minimizer of n + 2 vectors exists for n > 2.
 
-    Fails only when the caller presumes the input is such a minimizer and
-    it turns out tight with m = n + 2, n > 2; everything else passes or is
-    skipped.
+    Passes when the input is tight with m = n + 2 and n > 2 (so it is
+    certainly not a minimizer); everything else is skipped.
     """
     name = "tight_n_plus_2_forbidden"
     m, n = system.size, system.dim
@@ -630,13 +519,6 @@ def tight_grassmannian_diagnostic(
         return DiagnosticResult(name, "SKIP", "only applies for n > 2")
     if not tightness(system, tol).tight:
         return DiagnosticResult(name, "SKIP", "system is not tight")
-    if presumed_grassmannian:
-        return DiagnosticResult(
-            name,
-            "FAIL",
-            "a tight system of n + 2 vectors in R^n (n > 2) cannot minimize "
-            "coherence: the input is not Grassmannian or the tolerances are wrong",
-        )
     return DiagnosticResult(
         name,
         "PASS",

@@ -221,17 +221,38 @@ def spectral_data(system: UnitVectorSystem) -> SpectralData:
     return system._spectrum
 
 
+def _rank_band(spec: SpectralData, n: int, tol: Tolerances) -> tuple[float, float]:
+    """``rank_of``'s spanning threshold rank_rel * lambda_max(S) on lambda_min(S), and
+    the rounding slack 64 n eps lambda_max(S) around it (see ``drop_one_spanning``)."""
+    top = float(spec.eigenvalues[0])
+    return tol.rank_rel * top, 64.0 * n * np.finfo(float).eps * top
+
+
 def spans(system: UnitVectorSystem, omit=None, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the vectors outside ``omit`` span R^n."""
+    """True iff the vectors outside ``omit`` span R^n.
+
+    Without ``omit``, fewer than n vectors never span, and otherwise the
+    cached spectrum of S decides when lambda_min(S) clears the threshold of
+    ``_rank_band`` by more than its slack, either way; inside the band, and
+    for every ``omit``, ``rank_of`` decides.
+    """
+    n = system.dim
     if omit:
         omitted = {int(i) for i in omit}
         keep = [i for i in range(system.size) if i not in omitted]
         if not keep:
             raise ShapeError("omission leaves no vectors")
-        M = system.vectors[keep]
-    else:
-        M = system.vectors
-    return rank_of(M, tol) == system.dim
+        return rank_of(system.vectors[keep], tol) == n
+    if system.size < n:
+        return False
+    spec = spectral_data(system)
+    threshold, slack = _rank_band(spec, n, tol)
+    low = float(spec.eigenvalues[-1])
+    if low > threshold + slack:
+        return True
+    if low < threshold - slack:
+        return False
+    return rank_of(system.vectors, tol) == n
 
 
 def drop_one_spanning(
@@ -255,7 +276,7 @@ def drop_one_spanning(
     Weyl's inequality the second line; det S_j = (1 - h_j) det S is the
     matrix determinant lemma).  x_j is decided True when the lower bound
     clears the threshold and False when the upper bound cannot reach it,
-    each by an absolute rounding margin of 64 n eps lambda_max(S) for the
+    each by the slack of ``_rank_band``, 64 n eps lambda_max(S), for the
     eigenvalue errors of both spectra (it also covers the SVD, whose sigma
     errors of order n eps sigma_max move each sigma^2 by at most a few
     n eps lambda_max), with h_j widened by the relative
@@ -269,14 +290,14 @@ def drop_one_spanning(
         raise ShapeError("omission leaves no vectors")
     spec = spectral_data(system)
     top, low = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
-    slack = 64.0 * n * np.finfo(float).eps * top
-    if low <= tol.rank_rel * top + slack:
+    threshold, slack = _rank_band(spec, n, tol)
+    if low <= threshold + slack:
         return tuple(spans(system, omit={j}, tol=tol) for j in range(m))
     coeffs = spec.eigenvectors.T @ system.vectors.T
     h = np.sum(coeffs**2 / spec.eigenvalues[:, None], axis=0)
     h_hi = h * (1.0 + slack / low)
     h_lo = h * (1.0 - slack / low)
-    keeps = (1.0 - h_hi) * low > tol.rank_rel * top + slack
+    keeps = (1.0 - h_hi) * low > threshold + slack
     breaks = (1.0 - h_lo) < h_lo * (tol.rank_rel * (top - 1.0) - slack)
     return tuple(
         keep or (not brk and spans(system, omit={j}, tol=tol))

@@ -1,21 +1,28 @@
 """Analysis report assembly and rendering.
 
-``build_analysis_report`` runs the whole pipeline on one system and packs
-the results into a plain dict with a fixed key order; ``emit_report``
-renders it as JSON (15 significant digits, byte-stable across runs) or as
-human-readable text.  Every decided quantity carries the tolerance it was
-decided under so a reader can reproduce the verdict.
+``analysis`` decides the facts that ``analyze`` and ``check`` share once
+per system; ``build_analysis_report`` and ``build_check_report`` render
+them, each next to the few facts only its command reads, as plain dicts
+with a fixed key order.  ``emit_report`` renders a dict as JSON (15
+significant digits, byte-stable across runs); ``render_text`` and
+``render_check_text`` give the human-readable views.  Every decided
+quantity carries the tolerance it was decided under so a reader can
+reproduce the verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from .coreanalysis import (
     EIGEN_SPAN_ABS,
     CoreTrace,
+    CoreValidation,
+    DiagnosticResult,
+    EigenSpanReport,
+    NeighborCountReport,
     core,
     eigen_span_diagnostic,
     neighbor_count_report,
@@ -25,14 +32,19 @@ from .coreanalysis import (
 from .errors import InconsistentVerdict
 from .frames import (
     WELCH_EQ_ABS,
+    TightnessVerdict,
     UnitVectorSystem,
     bounds_card,
     drop_one_spanning,
+    frame_operator,
     gram,
     is_equiangular,
     is_etf,
+    reconstruct,
+    spans,
     spectral_data,
     tightness,
+    welch_bound,
 )
 from .frameio import emit_json, round15
 from .numerics import DEFAULT_TOL, Tolerances
@@ -48,6 +60,10 @@ def _vec(arr):
     if arr is None:
         return None
     return [round15(float(v)) for v in np.asarray(arr).ravel()]
+
+
+def _status(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
 def _checks(checks) -> list[dict]:
@@ -87,17 +103,59 @@ def verdict_dict(verdict) -> dict:
     }
 
 
-def build_analysis_report(
-    system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL
-) -> dict:
+@dataclass(frozen=True)
+class Analysis:
+    """The facts ``analyze`` and ``check`` both render, decided once per system.
+
+    ``etf`` is None when m < 2 and when the tight+equiangular and
+    Welch-equality routes disagree; ``etf_disagreement`` then holds the
+    disagreement message.
+    """
+
+    tightness: TightnessVerdict
+    etf: bool | None
+    etf_disagreement: str | None
+    trace: CoreTrace
+    neighbor_counts: NeighborCountReport
+    eigen_span: EigenSpanReport
+    tight_n_plus_2: DiagnosticResult
+    core_validation: CoreValidation
+
+
+def analysis(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> Analysis:
+    """Decide the shared facts of one system.
+
+    ``core`` runs once; the neighbor-count, eigen-span and core-validation
+    diagnostics read the neighbor sets and ranks of its verdicts instead
+    of recomputing them.  The Gram matrix, the frame operator and its
+    spectrum are computed once and kept on the system.
+    """
+    etf = disagreement = None
+    if system.size >= 2:
+        try:
+            etf = is_etf(system, tol)
+        except InconsistentVerdict as exc:
+            disagreement = str(exc)
+    trace = core(system, tol)
+    return Analysis(
+        tightness(system, tol),
+        etf,
+        disagreement,
+        trace,
+        neighbor_count_report(system, trace, tol),
+        eigen_span_diagnostic(system, trace, tol),
+        tight_grassmannian_diagnostic(system, tol),
+        validate_core(system, trace, tol),
+    )
+
+
+def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> dict:
     """Full machine-readable analysis of one system (fixed key order).
 
-    Each stage runs once: the Gram matrix, the frame operator and its
-    spectrum are computed once and kept on the system, and ``core`` runs
-    once.  Its level 0 supplies ``vectors``, and the neighbor-count,
-    eigen-span and core-validation diagnostics read the neighbor sets and
-    ranks of its verdicts instead of recomputing them.  When the two ETF
-    routes disagree, ``etf`` is null and the disagreement is a warning.
+    Renders ``analysis(system, tol)`` with the bounds, equiangularity,
+    spectrum and drop-one spanning flags.  Level 0 of the core trace
+    supplies ``vectors``.  When the two ETF routes disagree, ``etf`` is
+    null and the disagreement is a warning.
 
     The report holds O(m n) numbers, not the m x m Gram matrix (that is
     ``gram(system)``): each entry of ``vectors`` lists its level-alpha
@@ -106,44 +164,28 @@ def build_analysis_report(
     input rows and the report alone.
     """
     m, n = system.size, system.dim
+    facts = analysis(system, tol)
     warnings = list(system.warnings)
+    if facts.etf_disagreement is not None:
+        warnings.append(f"etf undecided: {facts.etf_disagreement}")
 
     card = bounds_card(system, tol)
-    tight = tightness(system, tol)
     spec = spectral_data(system)
+    equi_flag, equi_angle = is_equiangular(system, tol) if m >= 2 else (None, None)
+    level0 = facts.trace.levels[0].isolable
 
-    if m >= 2:
-        equi_flag, equi_angle = is_equiangular(system, tol)
-        try:
-            etf_flag = is_etf(system, tol)
-        except InconsistentVerdict as exc:
-            etf_flag = None
-            warnings.append(f"etf undecided: {exc}")
+    drop_one = list(drop_one_spanning(system, tol)) if m > n else None
+    if drop_one is None:
+        drop_status, drop_detail = "SKIP", "needs m > n"
+    elif all(drop_one):
+        drop_status, drop_detail = "PASS", "every single-vector deletion leaves a spanning set"
     else:
-        equi_flag, equi_angle, etf_flag = None, None, None
+        drop_status = "FAIL"
+        drop_detail = "some deletion breaks spanning; evidence input is not Grassmannian"
 
-    trace = core(system, tol)
-    level0 = trace.levels[0].isolable
-    core_checks = validate_core(system, trace, tol)
-
-    if m > n:
-        drop_one = list(drop_one_spanning(system, tol))
-        drop_status = "PASS" if all(drop_one) else "FAIL"
-        drop_detail = (
-            "every single-vector deletion leaves a spanning set"
-            if all(drop_one)
-            else "some deletion breaks spanning; evidence input is not Grassmannian"
-        )
-    else:
-        drop_one = None
-        drop_status = "SKIP"
-        drop_detail = "needs m > n"
-
-    counts = neighbor_count_report(system, trace, tol)
-    eig_span = eigen_span_diagnostic(system, trace, tol)
-    tight_diag = tight_grassmannian_diagnostic(system, tol)
-
-    report = {
+    counts = facts.neighbor_counts
+    eig_span = facts.eigen_span
+    return {
         "input": {
             "m": m,
             "n": n,
@@ -160,9 +202,9 @@ def build_analysis_report(
             "welch_check_abs": _num(WELCH_EQ_ABS),
         },
         "tightness": {
-            "kind": tight.kind,
-            "bound": _num(tight.bound),
-            "max_deviation": _num(tight.deviation),
+            "kind": facts.tightness.kind,
+            "bound": _num(facts.tightness.bound),
+            "max_deviation": _num(facts.tightness.deviation),
             "tolerance": _num(tol.eq_abs),
         },
         "equiangular": {
@@ -170,13 +212,13 @@ def build_analysis_report(
             "angle": _num(equi_angle),
             "tolerance": _num(tol.neighbor_abs),
         },
-        "etf": etf_flag,
+        "etf": facts.etf,
         "spectrum": {
             "eigenvalues": _vec(spec.eigenvalues),
             "top_multiplicity": spec.top_multiplicity(tol.eq_abs),
         },
         "vectors": [verdict_dict(v) for v in level0.verdicts],
-        "core": core_trace_dict(trace),
+        "core": core_trace_dict(facts.trace),
         "diagnostics": {
             "drop_one_spanning": {
                 "status": drop_status,
@@ -197,12 +239,64 @@ def build_analysis_report(
                 "detail": eig_span.detail,
                 "tolerance": _num(EIGEN_SPAN_ABS),
             },
-            "tight_grassmannian": asdict(tight_diag),
-            "core_validation": {"checks": _checks(core_checks.checks)},
+            "tight_grassmannian": asdict(facts.tight_n_plus_2),
+            "core_validation": {"checks": _checks(facts.core_validation.checks)},
         },
         "warnings": warnings + list(level0.warnings),
     }
-    return report
+
+
+def build_check_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> dict:
+    """Invariant suite for one system; FAIL entries make ``check`` exit 4.
+
+    Renders ``analysis(system, tol)`` as checks, next to the ones only
+    ``check`` runs: unit norms, the trace of S, and the Welch inequality
+    and reconstruction identity on spanning systems.
+    """
+    m, n = system.size, system.dim
+    facts = analysis(system, tol)
+    alpha = gram(system).coherence
+    spanning = spans(system, tol=tol)
+    checks: list[tuple[str, str, str]] = []
+    add = checks.append
+
+    warned = f" ({'; '.join(system.warnings)})" if system.warnings else ""
+    add(("unit_norms", "PASS", "validated on load" + warned))
+    trace_val = float(np.trace(frame_operator(system)))
+    detail = f"trace = {trace_val!r}, expected m = {m} within 1e-8*m"
+    add(("frame_operator_trace", _status(abs(trace_val - m) <= 1e-8 * m), detail))
+    if m > n and spanning:
+        w = welch_bound(m, n)
+        detail = f"coherence {alpha!r} vs welch {w!r} (slack 1e-9)"
+        add(("welch_inequality", _status(alpha >= w - 1e-9), detail))
+    else:
+        add(("welch_inequality", "SKIP", "needs m > n and a spanning system"))
+    tight = facts.tightness
+    add(("tightness", "PASS", f"{tight.kind}; max deviation from (m/n) I is {tight.deviation!r}"))
+    if m < 2:
+        add(("etf_route_consistency", "SKIP", "needs m >= 2"))
+    elif facts.etf_disagreement is not None:
+        add(("etf_route_consistency", "FAIL", facts.etf_disagreement))
+    else:
+        add(("etf_route_consistency", "PASS", f"both routes agree: etf = {facts.etf}"))
+    checks += [(f"neighbor_counts.{c[0]}", *c[1:]) for c in facts.neighbor_counts.checks]
+    if spanning:
+        target = np.zeros(n)
+        target[0] = 1.0
+        err = float(np.linalg.norm(reconstruct(system, target, tol) - target))
+        detail = f"||reconstruct(e1) - e1|| = {err:.3e} (tolerance 1e-7)"
+        add(("reconstruction_identity", _status(err <= 1e-7), detail))
+    else:
+        add(("reconstruction_identity", "SKIP", "system does not span"))
+    add(("eigen_span", facts.eigen_span.status, facts.eigen_span.detail))
+    add(astuple(facts.tight_n_plus_2))
+    checks += [(f"core_validation.{c[0]}", *c[1:]) for c in facts.core_validation.checks]
+
+    return {
+        "tolerances": tolerances_dict(tol),
+        "checks": _checks(checks),
+        "failed": sum(status == "FAIL" for _, status, _ in checks),
+    }
 
 
 def emit_report(report: dict, fmt: str = "json") -> str:
@@ -292,4 +386,11 @@ def render_text(report: dict) -> str:
         lines.append("warnings:")
         for w in report["warnings"]:
             lines.append(f"  {w}")
+    return "\n".join(lines) + "\n"
+
+
+def render_check_text(report: dict) -> str:
+    """One line per check, then the failure count."""
+    lines = [f"{c['name']}: {c['status']} ({c['detail']})" for c in report["checks"]]
+    lines.append(f"failed: {report['failed']}")
     return "\n".join(lines) + "\n"

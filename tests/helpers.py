@@ -44,6 +44,18 @@ def near_tie(d: float = 1e-7) -> UnitVectorSystem:
     )
 
 
+def nudged_simplex() -> UnitVectorSystem:
+    """simplex_etf(3) with x0 moved by 1e-7: the two ETF routes disagree.
+
+    It is not tight at eq_abs, yet its coherence is at the Welch value
+    within 1e-7.
+    """
+    V = simplex_etf(3).vectors.copy()
+    V[0] = V[0] + 1e-7 * np.array([0.3, 0.5, -0.8])
+    V[0] = V[0] / np.linalg.norm(V[0])
+    return UnitVectorSystem.from_vectors(V)
+
+
 def simplex_with_midpoints(n: int) -> UnitVectorSystem:
     """simplex_etf(n) plus the normalized midpoint of every vertex pair.
 

@@ -26,8 +26,15 @@ from framecore.coreanalysis import EIGEN_SPAN_ABS
 from framecore.errors import NormError, ParseError, ShapeError
 from framecore.frameio import parse_frame_with_overrides, round15
 from framecore.frames import WELCH_EQ_ABS
-from framecore.report import render_text
-from helpers import basis_plus_diagonal, random_unit_system, tripod_example
+from framecore.report import build_check_report, render_text
+from helpers import (
+    basis_plus_diagonal,
+    near_tie,
+    nudged_simplex,
+    random_unit_system,
+    simplex_with_midpoints,
+    tripod_example,
+)
 
 
 class TestParseFrame:
@@ -476,13 +483,9 @@ class TestCommands:
         assert "numerical failure: simulated verification failure" in err
 
     def test_etf_route_disagreement_is_reported(self, monkeypatch, capsys):
-        # nudged simplex: not tight at eq_abs, yet at the Welch value within
-        # 1e-7, so the two ETF routes disagree; analyze still emits the
-        # whole report and check reports the disagreement as a FAIL
-        V = simplex_etf(3).vectors.copy()
-        V[0] = V[0] + 1e-7 * np.array([0.3, 0.5, -0.8])
-        V[0] = V[0] / np.linalg.norm(V[0])
-        frame = emit_frame(UnitVectorSystem.from_vectors(V))
+        # the two ETF routes disagree; analyze still emits the whole report
+        # and check reports the disagreement as a FAIL
+        frame = emit_frame(nudged_simplex())
         code, out, _ = run_cli(monkeypatch, capsys, ["analyze", "-"], stdin=frame)
         assert code == 0
         report = json.loads(out)
@@ -494,6 +497,41 @@ class TestCommands:
         assert code == 4
         failed = {c["name"] for c in json.loads(out)["checks"] if c["status"] == "FAIL"}
         assert "etf_route_consistency" in failed
+
+
+class TestOneAnalysisTwoViews:
+    """``analyze`` and ``check`` render the same decided facts."""
+
+    @staticmethod
+    def _frames():
+        frames = [six_in_r4(), mub_r2(), simplex_with_midpoints(6), basis_plus_diagonal()]
+        frames += [simplex_etf(n) for n in range(2, 7)]
+        frames += [circular_frame(m) for m in range(3, 9)]
+        return frames + [near_tie(), nudged_simplex()]
+
+    @staticmethod
+    def _analyze_entries(report: dict) -> dict:
+        d = report["diagnostics"]
+        entries = {f"neighbor_counts.{c['name']}": c for c in d["neighbor_counts"]["checks"]}
+        entries["eigen_span"] = d["eigen_span"]
+        entries[d["tight_grassmannian"]["name"]] = d["tight_grassmannian"]
+        for c in d["core_validation"]["checks"]:
+            entries[f"core_validation.{c['name']}"] = c
+        return {name: (e["status"], e["detail"]) for name, e in entries.items()}
+
+    def test_shared_entries_agree(self):
+        disagreements = 0
+        for X in self._frames():
+            analyzed = build_analysis_report(X)
+            checks = build_check_report(X)["checks"]
+            checked = {c["name"]: (c["status"], c["detail"]) for c in checks}
+            shared = self._analyze_entries(analyzed)
+            assert "tight_n_plus_2_forbidden" in shared
+            assert shared == {name: checked[name] for name in shared}
+            etf_failed = checked["etf_route_consistency"][0] == "FAIL"
+            assert (analyzed["etf"] is None) == etf_failed
+            disagreements += etf_failed
+        assert disagreements == 1  # the nudged simplex
 
 
 class TestCheckCommand:

@@ -32,9 +32,10 @@ from framecore import (
     welch_bound,
 )
 from framecore import frames
-from framecore.cli import run_check_suite
+from framecore.report import build_check_report
 from framecore.errors import NormError, NotAFrame, ShapeError
-from helpers import random_unit_system, tripod_example
+from framecore.numerics import row_space
+from helpers import count_calls, random_unit_system, tripod_example
 
 
 class TestUnitVectorSystem:
@@ -209,7 +210,7 @@ class TestDerivedData:
 
     @pytest.mark.parametrize(
         "run",
-        [build_analysis_report, run_check_suite, naimark_complement],
+        [build_analysis_report, build_check_report, naimark_complement],
         ids=["analyze", "check", "naimark"],
     )
     def test_one_computation_per_stage(self, monkeypatch, run):
@@ -234,6 +235,57 @@ class TestSpans:
         onb = UnitVectorSystem.from_vectors(np.eye(3))
         assert spans(onb)
         assert not spans(onb, omit={0})
+
+    @staticmethod
+    def _weak_third(delta2: float) -> UnitVectorSystem:
+        """e1, e2 and (sqrt(1 - delta^2), 0, delta): lambda_min(S) is about delta^2 / 2."""
+        return UnitVectorSystem.from_vectors(
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [math.sqrt(1.0 - delta2), 0.0, math.sqrt(delta2)]]
+        )
+
+    def test_spectrum_route_equals_rank_route(self, monkeypatch):
+        rank_rel = frames.DEFAULT_TOL.rank_rel
+
+        def margin(delta2):  # lambda_min(S) - rank_rel lambda_max(S)
+            eigs = spectral_data(self._weak_third(delta2)).eigenvalues
+            return eigs[-1] - rank_rel * eigs[0]
+
+        lo, hi = rank_rel, 10.0 * rank_rel
+        for _ in range(80):  # bisect for the delta^2 at which rank_of flips
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if margin(mid) < 0.0 else (lo, mid)
+        rng = np.random.default_rng(12)
+        systems = [self._weak_third(lo * (1.0 + t)) for t in np.linspace(-3e-3, 3e-3, 61)]
+        systems += [
+            UnitVectorSystem.from_vectors(np.eye(3)[:2]),  # m < n
+            random_unit_system(rng, 2, 5),
+            UnitVectorSystem.from_vectors([[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, -1, 0]]),
+            double(mub_r2()).restrict(range(4)),  # rank 2 in R^4
+            UnitVectorSystem.from_vectors(np.eye(4)),
+            random_unit_system(rng, 40, 6),
+            six_in_r4(),
+        ]
+        expected = [frames.rank_of(X.vectors) == X.dim for X in systems]
+        banded = 0
+        for X, want in zip(systems, expected):
+            with monkeypatch.context() as mp:
+                calls = count_calls(mp, frames.rank_of)
+                assert spans(X) == want
+            banded += len(calls)
+        assert 0 < banded < 61  # both routes decide some of the near-threshold frames
+        assert True in expected[:61] and False in expected[:61]
+
+    @pytest.mark.parametrize(
+        "system",
+        [six_in_r4(), random_unit_system(np.random.default_rng(13), 200, 12)],
+        ids=["six_in_r4", "gauss-200x12"],
+    )
+    def test_check_makes_no_svd_of_all_rows(self, monkeypatch, system):
+        with monkeypatch.context() as mp:
+            calls = count_calls(mp, row_space)
+            build_check_report(system, frames.DEFAULT_TOL)
+        assert calls
+        assert all(np.shape(args[0])[0] < system.size for args in calls)
 
 
 class TestDropOneSpanning:
