@@ -36,12 +36,11 @@ from .errors import (
 )
 from .frames import (
     NeighborSet,
+    TightnessVerdict,
     UnitVectorSystem,
     gram,
-    is_equiangular,
     neighbors,
     spectral_data,
-    tightness,
 )
 from .numerics import (
     DEFAULT_TOL,
@@ -504,12 +503,13 @@ class DiagnosticResult:
 
 
 def tight_grassmannian_diagnostic(
-    system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL
+    system: UnitVectorSystem, tightness_verdict: TightnessVerdict
 ) -> DiagnosticResult:
     """No tight coherence minimizer of n + 2 vectors exists for n > 2.
 
-    Passes when the input is tight with m = n + 2 and n > 2 (so it is
-    certainly not a minimizer); everything else is skipped.
+    Passes when ``tightness_verdict`` (``tightness(system, tol)``) is tight
+    with m = n + 2 and n > 2 (so the input is certainly not a minimizer);
+    everything else is skipped.
     """
     name = "tight_n_plus_2_forbidden"
     m, n = system.size, system.dim
@@ -517,7 +517,7 @@ def tight_grassmannian_diagnostic(
         return DiagnosticResult(name, "SKIP", f"m = {m} is not n + 2")
     if n <= 2:
         return DiagnosticResult(name, "SKIP", "only applies for n > 2")
-    if not tightness(system, tol).tight:
+    if not tightness_verdict.tight:
         return DiagnosticResult(name, "SKIP", "system is not tight")
     return DiagnosticResult(
         name,
@@ -602,21 +602,22 @@ class NeighborCountReport:
 
 
 def neighbor_count_report(
-    system: UnitVectorSystem, trace: CoreTrace, tol: Tolerances = DEFAULT_TOL
+    trace: CoreTrace, tight: bool, equiangular: bool | None
 ) -> NeighborCountReport:
     """Counts |x_X^alpha| at alpha = coherence, plus parity diagnostics.
 
-    The counts are read from the level-0 verdicts of ``trace``
-    (``core(system, tol)``).  For a tight system that is not equiangular
+    Level 0 of ``trace`` (``core(system, tol)``) supplies alpha, m and the
+    counts; ``tight`` and ``equiangular`` (None when m < 2) are the
+    system's decided flags.  For a tight system that is not equiangular
     every count must be <= m - 2, and for odd m some count must be <= m - 3;
     those facts hold for any tight unit-norm frame, so a FAIL means the
     input or the tolerances are inconsistent.
     """
-    alpha = gram(system).coherence
-    m = system.size
-    counts = tuple(v.neighbor_count for v in trace.levels[0].isolable.verdicts)
+    level0 = trace.levels[0]
+    alpha, m = level0.coherence, len(level0.members)
+    counts = tuple(v.neighbor_count for v in level0.isolable.verdicts)
     checks = []
-    if m >= 2 and tightness(system, tol).tight and not is_equiangular(system, tol)[0]:
+    if m >= 2 and tight and not equiangular:
         if max(counts) <= m - 2:
             checks.append(("max_count_le_m_minus_2", "PASS", f"max count {max(counts)} <= {m - 2}"))
         else:

@@ -31,7 +31,7 @@ from .numerics import DEFAULT_TOL, SpectralData, Tolerances, rank_of, sym_eig
 # renormalized with a warning (file round-tripping loses digits).
 RENORM_LIMIT = 1e-6
 
-# |coherence - welch| at or below this is Welch equality (bounds_card, is_etf).
+# |coherence - welch| at or below this is Welch equality (bounds_card).
 WELCH_EQ_ABS = 1e-7
 
 
@@ -334,30 +334,33 @@ def is_equiangular(
     return False, None
 
 
-def is_etf(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Tight and equiangular; cross-checked against Welch equality when m > n.
+def etf_verdict(tight: TightnessVerdict, equiangular: bool, card: BoundsCard) -> bool:
+    """Tight and equiangular, cross-checked against ``card.meets_welch`` when m > n.
 
-    An orthonormal basis (m = n, coherence 0) counts as a degenerate ETF.
-    Raises InconsistentVerdict if the structural route and the Welch-equality
-    route disagree, which signals numerical trouble.
+    Raises InconsistentVerdict if the two routes disagree (numerical trouble).
     """
-    m, n = system.size, system.dim
-    if m < 2:
-        raise ShapeError("ETF test needs at least two vectors")
-    equi, _ = is_equiangular(system, tol)
-    structural = tightness(system, tol).tight and equi
-    if m > n:
-        gm = gram(system)
-        welch_route = abs(gm.coherence - welch_bound(m, n)) <= WELCH_EQ_ABS
-        if welch_route != structural:
-            raise InconsistentVerdict(
-                "tight+equiangular and Welch-equality routes disagree "
-                f"(coherence={gm.coherence!r}, welch={welch_bound(m, n)!r})"
-            )
+    structural = tight.tight and equiangular
+    if card.meets_welch is not None and card.meets_welch != structural:
+        raise InconsistentVerdict(
+            "tight+equiangular and Welch-equality routes disagree "
+            f"(coherence={card.coherence!r}, welch={card.welch!r})"
+        )
     return structural
 
 
-def bounds_card(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> BoundsCard:
+def is_etf(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Tight and equiangular; cross-checked against Welch equality when m > n.
+
+    ``etf_verdict`` of the verdicts it decides, so it raises
+    InconsistentVerdict when the routes disagree.  An orthonormal basis
+    (m = n, coherence 0) counts as a degenerate ETF.
+    """
+    if system.size < 2:
+        raise ShapeError("ETF test needs at least two vectors")
+    return etf_verdict(tightness(system, tol), is_equiangular(system, tol)[0], bounds_card(system))
+
+
+def bounds_card(system: UnitVectorSystem) -> BoundsCard:
     """Welch / orthoplex / Gerzon values next to the measured coherence.
 
     The Welch field is None (inapplicable) when m <= n rather than a
@@ -387,11 +390,11 @@ def bounds_card(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> Boun
 def reconstruct(
     system: UnitVectorSystem, target, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
-    """Reconstruct target from its frame coefficients.
+    """Reconstruct target as sum_i <target, x_i> S^{-1} x_i.
 
-    Uses sum_i <target, x_i> S^{-1} x_i in general; for a tight frame the
-    inverse collapses to division by the frame bound and that route is used.
-    Raises NotAFrame if the system does not span.
+    S^{-1} is applied through the cached spectrum of S, on tight frames too,
+    where it equals division by the frame bound m/n.  Raises NotAFrame if
+    the system does not span.
     """
     t = np.asarray(target, dtype=float).ravel()
     if t.size != system.dim:
@@ -403,9 +406,6 @@ def reconstruct(
     V = system.vectors
     coeffs = V @ t
     synthesized = coeffs @ V  # = S t
-    verdict = tightness(system, tol)
-    if verdict.tight:
-        return synthesized / verdict.bound
     spec = spectral_data(system)
     comps = spec.eigenvectors.T @ synthesized
     return spec.eigenvectors @ (comps / spec.eigenvalues)

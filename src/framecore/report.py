@@ -32,19 +32,18 @@ from .coreanalysis import (
 from .errors import InconsistentVerdict
 from .frames import (
     WELCH_EQ_ABS,
+    BoundsCard,
     TightnessVerdict,
     UnitVectorSystem,
     bounds_card,
     drop_one_spanning,
+    etf_verdict,
     frame_operator,
-    gram,
     is_equiangular,
-    is_etf,
     reconstruct,
     spans,
     spectral_data,
     tightness,
-    welch_bound,
 )
 from .frameio import emit_json, round15
 from .numerics import DEFAULT_TOL, Tolerances
@@ -107,12 +106,14 @@ def verdict_dict(verdict) -> dict:
 class Analysis:
     """The facts ``analyze`` and ``check`` both render, decided once per system.
 
-    ``etf`` is None when m < 2 and when the tight+equiangular and
-    Welch-equality routes disagree; ``etf_disagreement`` then holds the
-    disagreement message.
+    ``equiangular`` is (None, None) and ``etf`` None when m < 2.  ``etf`` is
+    also None when the tight+equiangular and Welch-equality routes disagree;
+    ``etf_disagreement`` then holds the disagreement message.
     """
 
     tightness: TightnessVerdict
+    equiangular: tuple[bool | None, float | None]
+    bounds: BoundsCard
     etf: bool | None
     etf_disagreement: str | None
     trace: CoreTrace
@@ -125,26 +126,26 @@ class Analysis:
 def analysis(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> Analysis:
     """Decide the shared facts of one system.
 
-    ``core`` runs once; the neighbor-count, eigen-span and core-validation
-    diagnostics read the neighbor sets and ranks of its verdicts instead
-    of recomputing them.  The Gram matrix, the frame operator and its
-    spectrum are computed once and kept on the system.
+    Tightness, equiangularity, the bounds card and ``core`` run once; the
+    ETF flag and the diagnostics read their verdicts (the neighbor sets and
+    ranks of the core's) instead of deciding them again.  The Gram matrix,
+    the frame operator and its spectrum are computed once and kept on the
+    system.
     """
-    etf = disagreement = None
+    tight, card = tightness(system, tol), bounds_card(system)
+    equiangular, etf, disagreement = (None, None), None, None
     if system.size >= 2:
+        equiangular = is_equiangular(system, tol)
         try:
-            etf = is_etf(system, tol)
+            etf = etf_verdict(tight, equiangular[0], card)
         except InconsistentVerdict as exc:
             disagreement = str(exc)
     trace = core(system, tol)
     return Analysis(
-        tightness(system, tol),
-        etf,
-        disagreement,
-        trace,
-        neighbor_count_report(system, trace, tol),
+        tight, equiangular, card, etf, disagreement, trace,
+        neighbor_count_report(trace, tight.tight, equiangular[0]),
         eigen_span_diagnostic(system, trace, tol),
-        tight_grassmannian_diagnostic(system, tol),
+        tight_grassmannian_diagnostic(system, tight),
         validate_core(system, trace, tol),
     )
 
@@ -169,9 +170,8 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
     if facts.etf_disagreement is not None:
         warnings.append(f"etf undecided: {facts.etf_disagreement}")
 
-    card = bounds_card(system, tol)
+    card = facts.bounds
     spec = spectral_data(system)
-    equi_flag, equi_angle = is_equiangular(system, tol) if m >= 2 else (None, None)
     level0 = facts.trace.levels[0].isolable
 
     drop_one = list(drop_one_spanning(system, tol)) if m > n else None
@@ -192,7 +192,7 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
             "labels": list(system.labels) if system.labels else None,
         },
         "tolerances": tolerances_dict(tol),
-        "coherence": _num(gram(system).coherence),
+        "coherence": _num(card.coherence),
         "bounds": {
             "welch": _num(card.welch),
             "orthoplex": _num(card.orthoplex),
@@ -208,8 +208,8 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
             "tolerance": _num(tol.eq_abs),
         },
         "equiangular": {
-            "equiangular": equi_flag,
-            "angle": _num(equi_angle),
+            "equiangular": facts.equiangular[0],
+            "angle": _num(facts.equiangular[1]),
             "tolerance": _num(tol.neighbor_abs),
         },
         "etf": facts.etf,
@@ -255,7 +255,6 @@ def build_check_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) 
     """
     m, n = system.size, system.dim
     facts = analysis(system, tol)
-    alpha = gram(system).coherence
     spanning = spans(system, tol=tol)
     checks: list[tuple[str, str, str]] = []
     add = checks.append
@@ -266,7 +265,7 @@ def build_check_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) 
     detail = f"trace = {trace_val!r}, expected m = {m} within 1e-8*m"
     add(("frame_operator_trace", _status(abs(trace_val - m) <= 1e-8 * m), detail))
     if m > n and spanning:
-        w = welch_bound(m, n)
+        alpha, w = facts.bounds.coherence, facts.bounds.welch
         detail = f"coherence {alpha!r} vs welch {w!r} (slack 1e-9)"
         add(("welch_inequality", _status(alpha >= w - 1e-9), detail))
     else:

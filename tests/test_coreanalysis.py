@@ -5,6 +5,7 @@ import pytest
 
 from framecore import (
     UnitVectorSystem,
+    bounds_card,
     build_analysis_report,
     circular_frame,
     classify_n_plus_2,
@@ -13,6 +14,7 @@ from framecore import (
     double,
     eigen_span_diagnostic,
     gram,
+    is_equiangular,
     is_etf,
     isolable_set,
     mub_r2,
@@ -25,6 +27,7 @@ from framecore import (
     tight_grassmannian_diagnostic,
     tightness,
     validate_core,
+    welch_bound,
 )
 from framecore import coreanalysis
 from framecore.report import build_check_report
@@ -427,15 +430,17 @@ class TestDichotomy:
 
 class TestTightGrassmannianDiagnostic:
     def test_six_vector_frame_skipped_not_tight(self):
-        assert tight_grassmannian_diagnostic(six_in_r4()).status == "SKIP"
+        X = six_in_r4()
+        assert tight_grassmannian_diagnostic(X, tightness(X)).status == "SKIP"
 
     def test_mub_skipped_small_dimension(self):
         # tight with m = n + 2 but n = 2; the obstruction needs n > 2
-        assert tight_grassmannian_diagnostic(mub_r2()).status == "SKIP"
+        X = mub_r2()
+        assert tight_grassmannian_diagnostic(X, tightness(X)).status == "SKIP"
 
     def test_synthetic_tight_unflagged_passes(self):
         Y, _, _ = naimark_complement(circular_frame(5))  # tight, 5 vectors in R^3
-        assert tight_grassmannian_diagnostic(Y).status == "PASS"
+        assert tight_grassmannian_diagnostic(Y, tightness(Y)).status == "PASS"
 
 
 class TestEigenSpanDiagnostic:
@@ -841,7 +846,7 @@ class TestLevelVerdictsAreReused:
 
 
 class TestEachFactDecidedOnce:
-    """Neighbor sets, ranks and ETF status are decided once per command."""
+    """Neighbor sets, ranks and the frame verdicts are decided once per command."""
 
     @staticmethod
     def _frames():
@@ -850,6 +855,8 @@ class TestEachFactDecidedOnce:
             simplex_with_midpoints(6),
             UnitVectorSystem.from_vectors(np.eye(4)),  # coherence zero
             UnitVectorSystem.from_vectors([[0.6, 0.8]]),  # m = 1
+            circular_frame(5),  # tight, not equiangular, odd m
+            mub_r2(),
         ]
 
     @pytest.mark.parametrize(
@@ -864,6 +871,26 @@ class TestEachFactDecidedOnce:
                 run(X, DEFAULT_TOL)
             assert len(queries) == len(classified) >= X.size
             assert len(etf) <= 1
+
+    @pytest.mark.parametrize(
+        "run", [build_analysis_report, build_check_report], ids=["analyze", "check"]
+    )
+    def test_frame_verdicts_decided_once(self, monkeypatch, run):
+        deciders = (tightness, bounds_card, is_equiangular, welch_bound, is_etf)
+        for X in self._frames():
+            m, n = X.size, X.dim
+            with monkeypatch.context() as mp:
+                calls = {f.__name__: count_calls(mp, f) for f in deciders}
+                run(X, DEFAULT_TOL)
+            assert {name: len(args) for name, args in calls.items()} == {
+                "tightness": 1,
+                "bounds_card": 1,
+                "is_equiangular": int(m >= 2),
+                "welch_bound": int(m > n),
+                "is_etf": 0,
+            }
+        assert not hasattr(coreanalysis, "tightness")
+        assert not hasattr(coreanalysis, "is_equiangular")
 
     def test_classify_vector_makes_one_row_space_call_and_no_rank_of_call(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -889,12 +916,13 @@ class TestEachFactDecidedOnce:
             alpha = gram(X).coherence
             counts = tuple(len(neighbors(X, i, alpha, tol).indices) for i in range(X.size))
             trace = core(X, tol)
+            tight, equiangular = tightness(X, tol).tight, is_equiangular(X, tol)[0]
             with monkeypatch.context() as mp:
                 _forbid_recomputation(mp)
-                rep = neighbor_count_report(X, trace, tol)
+                rep = neighbor_count_report(trace, tight, equiangular)
             assert (rep.level, rep.counts) == (alpha, counts)
             names = [name for name, _, _ in rep.checks]
-            if tightness(X, tol).tight and not is_etf(X, tol):
+            if tight and not is_etf(X, tol):
                 gated += 1
                 assert names[0] == "max_count_le_m_minus_2"
                 assert ("odd_m_some_count_le_m_minus_3" in names) == (X.size % 2 == 1)

@@ -489,29 +489,47 @@ class TestReconstruct:
             rec = reconstruct(sys_, t)
             assert np.linalg.norm(rec - t) <= 1e-7 * max(np.linalg.norm(t), 1.0)
 
+    def test_spectral_route_equals_tight_formula(self):
+        """On tight frames S^-1 is division by the frame bound: (n/m) sum <t, x_i> x_i."""
+        frames = [circular_frame(m) for m in range(2, 11)]
+        frames += [simplex_etf(n) for n in range(1, 7)]
+        frames += [mub_r2(), double(mub_r2()), double(simplex_etf(3))]
+        rng = np.random.default_rng(2718)
+        for X in frames:
+            m, n = X.size, X.dim
+            assert tightness(X).tight
+            for t in rng.standard_normal((3, n)):
+                tight_route = (n / m) * (X.vectors @ t) @ X.vectors
+                assert np.max(np.abs(reconstruct(X, t) - tight_route)) <= 1e-12
+
+
+def _neighbor_counts(X):
+    """``neighbor_count_report`` of X with its own tightness and equiangularity."""
+    return neighbor_count_report(core(X), tightness(X).tight, is_equiangular(X)[0])
+
 
 class TestNeighborCountReport:
     def test_six_vector_frame(self):
         X = six_in_r4()
-        rep = neighbor_count_report(X, core(X))
+        rep = _neighbor_counts(X)
         assert rep.counts == (5, 5, 5, 5, 5, 5)
         assert all(status == "SKIP" for _, status, _ in rep.checks)
 
     def test_orthonormal_basis(self):
         X = UnitVectorSystem.from_vectors(np.eye(3))
-        rep = neighbor_count_report(X, core(X))
+        rep = _neighbor_counts(X)
         assert rep.counts == (2, 2, 2)
 
     def test_mub_counts_and_parity(self):
         X = mub_r2()
-        rep = neighbor_count_report(X, core(X))
+        rep = _neighbor_counts(X)
         assert rep.counts == (2, 2, 2, 2)
         names = {name: status for name, status, _ in rep.checks}
         assert names["max_count_le_m_minus_2"] == "PASS"
 
     def test_circular_seven_odd_parity(self):
         X = circular_frame(7)
-        rep = neighbor_count_report(X, core(X))
+        rep = _neighbor_counts(X)
         names = {name: status for name, status, _ in rep.checks}
         assert names["max_count_le_m_minus_2"] == "PASS"
         assert names["odd_m_some_count_le_m_minus_3"] == "PASS"
@@ -555,7 +573,7 @@ class TestInvariants:
         tight_family += [double(simplex_etf(3)), double(circular_frame(5))]
         for sys_ in tight_family:
             assert tightness(sys_).tight
-            rep = neighbor_count_report(sys_, core(sys_))
+            rep = _neighbor_counts(sys_)
             if max(rep.counts) == sys_.size - 1:
                 assert is_etf(sys_)
 
