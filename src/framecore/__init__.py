@@ -54,7 +54,7 @@ _HOMES = {
         "tightness",
         "welch_bound",
     ),
-    "frameio": ("emit_frame", "parse_frame"),
+    "frameio": ("emit_frame", "parse_frame", "write_frame"),
     "numerics": (
         "ConeResult",
         "SpectralData",

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
 import sys
 
 from .errors import NumericalError, ValidationError
 from .frames import UnitVectorSystem, gram, tightness
-from .frameio import emit_frame, emit_json, parse_frame_with_overrides, round15
+from .frameio import emit_json, parse_frame_with_overrides, round15, write_frame
 from .numerics import Tolerances
 
 
@@ -126,19 +127,18 @@ def _load(args) -> tuple[UnitVectorSystem, Tolerances]:
         raise ValidationError(str(exc)) from None
 
 
-def _write(args, payload: str) -> None:
+def _write(args, write) -> None:
+    """Call ``write(stream)`` with the ``--out`` file, or with stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            write(fh)
     else:
-        sys.stdout.write(payload)
+        write(sys.stdout)
 
 
 def _emit(args, payload: dict, text_renderer) -> None:
-    if args.format == "json":
-        _write(args, report.emit_report(payload))
-    else:
-        _write(args, text_renderer(payload))
+    text = report.emit_report(payload) if args.format == "json" else text_renderer(payload)
+    _write(args, lambda out: out.write(text))
 
 
 def _cmd_analyze(args) -> int:
@@ -201,29 +201,27 @@ def _cmd_classify(args) -> int:
 def _cmd_naimark(args) -> int:
     system, tol = _load(args)
     complement, lam, k = constructions.naimark_complement(system, tol)
-    _write(args, emit_frame(complement))
-    coh_in = gram(system).coherence
-    coh_out = gram(complement).coherence
-    sys.stderr.write(
+    summary = (
         f"naimark complement: {complement.size} vectors in R^{complement.dim}, "
         f"lambda={round15(lam)}, top multiplicity k={k}\n"
         f"verified: unit norms and Gram relation G_Y (1 - lambda) = G_X within 1e-8; "
-        f"coherence {round15(coh_in)} -> {round15(coh_out)}\n"
+        f"coherence {round15(gram(system).coherence)} -> {round15(gram(complement).coherence)}\n"
     )
+    _write(args, lambda out: write_frame(complement, out))
+    sys.stderr.write(summary)
     return EXIT_OK
 
 
 def _cmd_double(args) -> int:
     system, tol = _load(args)
     doubled = constructions.double(system)
-    _write(args, emit_frame(doubled))
-    t_in = tightness(system, tol)
-    t_out = tightness(doubled, tol)
-    sys.stderr.write(
+    summary = (
         f"doubled: {doubled.size} vectors in R^{doubled.dim}; "
         f"coherence {round15(gram(system).coherence)} -> {round15(gram(doubled).coherence)}; "
-        f"tightness {t_in.kind} -> {t_out.kind}\n"
+        f"tightness {tightness(system, tol).kind} -> {tightness(doubled, tol).kind}\n"
     )
+    _write(args, lambda out: write_frame(doubled, out))
+    sys.stderr.write(summary)
     return EXIT_OK
 
 
@@ -243,7 +241,7 @@ def _cmd_construct(args) -> int:
             system = constructions.simplex_etf(args.n)
     except ValueError as exc:  # an out-of-range --m or --n
         raise ValidationError(f"construct {args.name}: {exc}") from None
-    _write(args, emit_frame(system))
+    _write(args, lambda out: write_frame(system, out))
     return EXIT_OK
 
 
@@ -253,7 +251,7 @@ def _cmd_catalog(args) -> int:
     entries = constructions.angle_catalog(args.m, args.n)
     if args.format == "text":
         text = "".join(f"{e.kind} ({e.rule}): {e.value:.12g}\n" for e in entries)
-        _write(args, text or "unknown\n")
+        _write(args, lambda out: out.write(text or "unknown\n"))
         return EXIT_OK
     payload = {
         "m": args.m,
@@ -263,7 +261,7 @@ def _cmd_catalog(args) -> int:
             {"kind": e.kind, "rule": e.rule, "value": round15(e.value)} for e in entries
         ],
     }
-    _write(args, emit_json(payload))  # not report.emit_report: catalog runs no analysis
+    _write(args, lambda out: out.write(emit_json(payload)))  # catalog runs no analysis
     return EXIT_OK
 
 
@@ -291,7 +289,9 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter shutdown
+        return code
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
@@ -302,6 +302,8 @@ def run(argv=None) -> int:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout's exit flush then goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
 

@@ -140,12 +140,14 @@ def naimark_complement(
     norms = np.linalg.norm(Y, axis=1)
     if float(np.max(np.abs(norms - 1.0))) > 1e-8:
         raise VerificationError("complement vectors failed the unit-norm check")
-    GY = Y @ Y.T
-    GX = gram(system).entries
-    mask = ~np.eye(m, dtype=bool)
-    relation = np.max(np.abs(GY[mask] * (1.0 - lam) - GX[mask]))
-    if float(relation) > 1e-8:
-        raise VerificationError(f"Gram relation violated by {float(relation):.3e}")
+    residual = Y @ Y.T  # G_Y (1 - lambda) - G_X off the diagonal, in place
+    residual *= 1.0 - lam
+    residual -= gram(system).entries
+    np.fill_diagonal(residual, 0.0)
+    relation = float(np.abs(residual, out=residual).max())
+    del residual
+    if relation > 1e-8:
+        raise VerificationError(f"Gram relation violated by {relation:.3e}")
     labels = [f"y{i+1}" for i in range(m)]
     out = UnitVectorSystem.from_vectors(Y, labels=labels)
     coh_out = gram(out).coherence

@@ -11,6 +11,7 @@ farther off is rejected.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import fields
 
@@ -150,18 +151,29 @@ def _coordinate(v: float) -> str:
     return text if "." in text else text + ".0"
 
 
-def emit_frame(system: UnitVectorSystem) -> str:
-    """Serialize a system to the structured format (15 significant digits).
+def write_frame(system: UnitVectorSystem, out: io.TextIOBase) -> None:
+    """Write a system to a text stream in the structured format, one row at a time.
 
     The text is ``emit_json`` of ``{"dim", "vectors", "labels"?}`` with
-    ``round15`` applied to every coordinate, built in one pass.
+    ``round15`` applied to every coordinate (15 significant digits).
     """
-    rows = ",\n".join(
-        "    [\n      " + ",\n      ".join(map(_coordinate, row)) + "\n    ]"
-        for row in system.vectors.tolist()
-    )
-    members = [f'  "dim": {system.dim}', f'  "vectors": [\n{rows}\n  ]']
+    out.write(f'{{\n  "dim": {system.dim},\n  "vectors": [')
+    sep = "\n"
+    for row in system.vectors:
+        coordinates = ",\n      ".join(map(_coordinate, row.tolist()))
+        out.write(f"{sep}    [\n      {coordinates}\n    ]")
+        sep = ",\n"
+    out.write("\n  ]")
     if system.labels:
-        labels = ",\n".join("    " + json.dumps(label) for label in system.labels)
-        members.append(f'  "labels": [\n{labels}\n  ]')
-    return "{\n" + ",\n".join(members) + "\n}\n"
+        out.write(',\n  "labels": [\n    ' + json.dumps(system.labels[0]))
+        for label in system.labels[1:]:
+            out.write(",\n    " + json.dumps(label))
+        out.write("\n  ]")
+    out.write("\n}\n")
+
+
+def emit_frame(system: UnitVectorSystem) -> str:
+    """The text that ``write_frame`` writes for the system."""
+    buffer = io.StringIO()
+    write_frame(system, buffer)
+    return buffer.getvalue()

@@ -105,12 +105,13 @@ class UnitVectorSystem:
     def _gram(self) -> GramMatrix:
         V = self.vectors
         G = V @ V.T
-        G = 0.5 * (G + G.T)
-        m = G.shape[0]
-        if m == 1:
+        G += G.T  # numpy buffers the overlapping operand
+        G *= 0.5
+        if self.size == 1:
             coherence = 0.0
         else:
-            off = np.abs(G - np.diag(np.diag(G)))
+            off = np.abs(G)
+            np.fill_diagonal(off, 0.0)
             # Rounding can push |<x, y>| of (near-)parallel unit vectors past 1.
             coherence = min(float(off.max()), 1.0)
         G.flags.writeable = False

@@ -4,10 +4,15 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import framecore
 from framecore import (
     Tolerances,
     UnitVectorSystem,
@@ -35,6 +40,8 @@ from helpers import (
     simplex_with_midpoints,
     tripod_example,
 )
+
+SRC = str(Path(framecore.__file__).resolve().parents[1])
 
 
 class TestParseFrame:
@@ -355,6 +362,15 @@ class TestCommands:
         assert code == 2
         assert "complement" in err or "eigenvalue" in err
 
+    def test_failed_transform_writes_nothing(self, monkeypatch, capsysbinary, tmp_path):
+        path = tmp_path / "out.json"
+        for argv in (["naimark", "-"], ["naimark", "-", "--out", str(path)]):
+            monkeypatch.setattr("sys.stdin", io.StringIO("1 0\n0 1\n"))
+            assert run(argv) == 2
+            captured = capsysbinary.readouterr()
+            assert captured.out == b"" and b"eigenvalue" in captured.err
+        assert not path.exists()
+
     def test_double_pipe(self, monkeypatch, capsys):
         frame = emit_frame(mub_r2())
         code, out, _ = run_cli(monkeypatch, capsys, ["double", "-"], stdin=frame)
@@ -652,3 +668,51 @@ class TestRotatedDuplicates:
         assert [(c["name"], c["status"]) for c in turned["check"][1]["checks"]] == [
             (c["name"], c["status"]) for c in plain["check"][1]["checks"]
         ]
+
+
+@pytest.mark.parametrize("command", ["construct", "naimark", "double"])
+def test_stdout_and_out_file_get_the_same_bytes(capsysbinary, tmp_path, command):
+    if command == "construct":
+        argv = ["construct", "simplex", "--n", "120"]
+    else:
+        frame = tmp_path / "gauss.json"
+        system = random_unit_system(np.random.default_rng(5), 100, 10)
+        frame.write_text(emit_frame(system), encoding="utf-8")
+        argv = [command, str(frame)]
+    assert run(argv) == 0
+    streamed = capsysbinary.readouterr().out
+    path = tmp_path / "out.json"
+    assert run(argv + ["--out", str(path)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert len(streamed) > 64 * 1024
+    assert path.read_bytes() == streamed
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "simplex", "--n", "5"], ["construct", "simplex", "--n", "120"], ["analyze"]],
+    ids=["construct-5", "construct-120", "analyze"],
+)
+def test_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe fails with EPIPE
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "framecore", *argv],
+            input=emit_frame(six_in_r4()).encode(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Broken pipe" in err

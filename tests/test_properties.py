@@ -2,6 +2,7 @@
 orthogonal rotations, and the core is a fixed point; frame files are
 written byte for byte as the JSON encoder writes them and read back exactly."""
 
+import io
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from framecore import (  # noqa: E402
     parse_frame,
     simplex_etf,
     six_in_r4,
+    write_frame,
 )
 from framecore.frameio import round15  # noqa: E402
 from helpers import basis_plus_diagonal, tripod_example  # noqa: E402
@@ -158,6 +160,9 @@ def emitted_systems(draw):
 def test_emit_frame_matches_the_json_encoder_and_parses_back_exactly(system):
     text = emit_frame(system)
     assert text == _reference_emit_frame(system)
+    streamed = io.StringIO()
+    write_frame(system, streamed)
+    assert streamed.getvalue() == text
     back = parse_frame(text)
     rounded = UnitVectorSystem.from_vectors(
         [[round15(v) for v in row] for row in system.vectors], labels=system.labels
