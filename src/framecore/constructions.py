@@ -89,19 +89,16 @@ def tight_completion(
 ) -> tuple[np.ndarray, float]:
     """Vectors that complete the system to a lambda-tight frame.
 
-    lambda is the largest frame-operator eigenvalue; for every eigenvalue
-    strictly below it (counted with multiplicity) one vector
-    sqrt(lambda - lambda_j) e_j is added.  The added vectors are generally
-    not unit norm.  Returns (Z, lambda) with Z of shape (n - k, n).
+    lambda is the largest frame-operator eigenvalue and k its multiplicity
+    (``SpectralData.top_multiplicity``); for each of the other n - k
+    eigenpairs (lambda_j, e_j) one vector sqrt(lambda - lambda_j) e_j is
+    added.  The added vectors are generally not unit norm.  Returns
+    (Z, lambda) with Z of shape (n - k, n).
     """
     spec = spectral_data(system)
     lam = float(spec.eigenvalues[0])
-    rows = []
-    for j in range(system.dim):
-        lam_j = float(spec.eigenvalues[j])
-        if lam_j < lam - tol.eq_abs:
-            rows.append(math.sqrt(lam - lam_j) * spec.eigenvectors[:, j])
-    Z = np.array(rows) if rows else np.zeros((0, system.dim))
+    k = spec.top_multiplicity(tol.eq_abs)
+    Z = (np.sqrt(lam - spec.eigenvalues[k:]) * spec.eigenvectors[:, k:]).T
     return Z, lam
 
 

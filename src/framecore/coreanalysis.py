@@ -120,8 +120,6 @@ def _perturb_search(
     below_band = prods[prods <= alpha - tol.neighbor_abs]
     delta = float(below_band.max()) if below_band.size else 0.0
     eps = min(0.5, (alpha - delta) / 2.0)
-    if eps <= 0.0:
-        eps = min(0.5, alpha / 2.0)
     for _ in range(60):
         cand = x + eps * witness
         cand = cand / np.linalg.norm(cand)

@@ -259,51 +259,40 @@ def spans(system: UnitVectorSystem, omit=None, tol: Tolerances = DEFAULT_TOL) ->
 def drop_one_spanning(
     system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, ...]:
-    """``spans(system, omit={j})`` for every j, from the spectrum of S.
+    """``spans(system, omit={j})`` for every j; the spectrum of S proves the True ones.
 
     Removing x_j leaves S_j = S - x_j x_j^T, and ``rank_of`` calls that
     spanning iff sigma_min^2 > rank_rel * sigma_max^2 over the singular
     values of the remaining rows, whose squares are the eigenvalues of
     S_j, i.e. iff lambda_min(S_j) > rank_rel * lambda_max(S_j).  With the
     leverage score h_j = x_j^T S^-1 x_j = sum_k (v_k^T x_j)^2 / lambda_k
-    over the eigenpairs (lambda_k, v_k) of S, both sides are bracketed
-    exactly for a unit x_j:
+    over the eigenpairs (lambda_k, v_k) of S,
 
-        (1 - h_j) lambda_min(S) <= lambda_min(S_j) <= (1 - h_j) / h_j
-        lambda_max(S) - 1       <= lambda_max(S_j) <= lambda_max(S)
+        lambda_min(S_j) >= (1 - h_j) lambda_min(S),   lambda_max(S_j) <= lambda_max(S)
 
-    (S_j = S^1/2 (I - S^-1/2 x_j x_j^T S^-1/2) S^1/2 gives the lower
-    bound, the Rayleigh quotient of S_j at S^-1 x_j the upper one, and
-    Weyl's inequality the second line; det S_j = (1 - h_j) det S is the
-    matrix determinant lemma).  x_j is decided True when the lower bound
-    clears the threshold and False when the upper bound cannot reach it,
-    each by the slack of ``_rank_band``, 64 n eps lambda_max(S), for the
-    eigenvalue errors of both spectra (it also covers the SVD, whose sigma
-    errors of order n eps sigma_max move each sigma^2 by at most a few
-    n eps lambda_max), with h_j widened by the relative
-    error 64 n eps lambda_max(S) / lambda_min(S) that such a backward error
-    in S induces in S^-1.  A vector whose bounds straddle the threshold,
-    and every vector when S itself is not clearly spanning (so no leverage
-    score divides by a vanishing eigenvalue), is decided by ``spans``.
+    (S_j = S^1/2 (I - S^-1/2 x_j x_j^T S^-1/2) S^1/2).  x_j is decided True
+    when that lower bound clears the threshold by the slack of
+    ``_rank_band``, 64 n eps lambda_max(S), for the eigenvalue errors of
+    both spectra (it also covers the SVD, whose sigma errors of order
+    n eps sigma_max move each sigma^2 by at most a few n eps lambda_max),
+    with h_j widened by the relative error 64 n eps lambda_max(S) /
+    lambda_min(S) that such a backward error in S induces in S^-1.  Every
+    other vector, and every vector when S itself is not clearly spanning
+    (so no leverage score divides by a vanishing eigenvalue), is decided
+    by ``spans(system, omit={j})``.
     """
     m, n = system.size, system.dim
     if m < 2:
         raise ShapeError("omission leaves no vectors")
     spec = spectral_data(system)
-    top, low = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
+    low = float(spec.eigenvalues[-1])
     threshold, slack = _rank_band(spec, n, tol)
-    if low <= threshold + slack:
-        return tuple(spans(system, omit={j}, tol=tol) for j in range(m))
-    coeffs = spec.eigenvectors.T @ system.vectors.T
-    h = np.sum(coeffs**2 / spec.eigenvalues[:, None], axis=0)
-    h_hi = h * (1.0 + slack / low)
-    h_lo = h * (1.0 - slack / low)
-    keeps = (1.0 - h_hi) * low > threshold + slack
-    breaks = (1.0 - h_lo) < h_lo * (tol.rank_rel * (top - 1.0) - slack)
-    return tuple(
-        keep or (not brk and spans(system, omit={j}, tol=tol))
-        for j, (keep, brk) in enumerate(zip(keeps.tolist(), breaks.tolist()))
-    )
+    keeps = [False] * m
+    if low > threshold + slack:
+        coeffs = spec.eigenvectors.T @ system.vectors.T
+        h = np.sum(coeffs**2 / spec.eigenvalues[:, None], axis=0) * (1.0 + slack / low)
+        keeps = ((1.0 - h) * low > threshold + slack).tolist()
+    return tuple(keep or spans(system, omit={j}, tol=tol) for j, keep in enumerate(keeps))
 
 
 def tightness(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> TightnessVerdict:

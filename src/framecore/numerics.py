@@ -157,7 +157,10 @@ def orthonormal_complement(rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     out = row_space(R, tol)[1] if r else np.eye(n)
     full = np.vstack([R, out])
-    if full.shape[0] != n or float(np.abs(full @ full.T - np.eye(n)).max(initial=0.0)) > 1e-8:
+    error = full @ full.T  # |full full^T - I|, in place
+    del full
+    error.flat[:: len(error) + 1] -= 1.0
+    if len(error) != n or float(np.abs(error, out=error).max(initial=0.0)) > 1e-8:
         raise VerificationError("completed basis failed the orthonormality check")
     out.flags.writeable = False
     return out

@@ -298,13 +298,9 @@ def build_check_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) 
     }
 
 
-def emit_report(report: dict, fmt: str = "json") -> str:
-    """Render a report dict as JSON (stable) or readable text."""
-    if fmt == "json":
-        return emit_json(report)
-    if fmt == "text":
-        return render_text(report)
-    raise ValueError(f"unknown format {fmt!r}")
+def emit_report(report: dict) -> str:
+    """Render a report dict as stable JSON (``render_text`` gives the text view)."""
+    return emit_json(report)
 
 
 def _fmt_value(v) -> str:

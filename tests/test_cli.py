@@ -154,7 +154,7 @@ class TestParseFrame:
 class TestReport:
     def test_json_round_trip(self):
         report = build_analysis_report(six_in_r4())
-        text = emit_report(report, "json")
+        text = emit_report(report)
         assert json.loads(text) == report
 
     def test_onb_report_values(self):
@@ -245,7 +245,7 @@ class TestReportSchema:
         for system in (six_in_r4(), mub_r2(), circular_frame(5)):
             report = build_analysis_report(system)
             assert '"gram"' not in emit_report(report)
-            assert "gram matrix:" not in emit_report(report, "text")
+            assert "gram matrix:" not in render_text(report)
 
     def test_neighbor_count_is_the_length_of_neighbors(self):
         orthonormal_r4 = UnitVectorSystem.from_vectors(np.eye(4))
@@ -604,13 +604,6 @@ class TestTextRenderers:
         )
         assert code == 0
         assert "failed: 0" in out
-
-    def test_emit_report_rejects_unknown_format(self):
-        from framecore import build_analysis_report, emit_report
-
-        report = build_analysis_report(mub_r2())
-        with pytest.raises(ValueError):
-            emit_report(report, "yaml")
 
 
 class TestDeterminism:

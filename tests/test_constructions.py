@@ -18,12 +18,14 @@ from framecore import (
     naimark_complement,
     simplex_etf,
     six_in_r4,
+    spectral_data,
     tight_completion,
     tightness,
     welch_bound,
 )
 from framecore.constructions import GRASSMANNIAN_ALPHA, ONE_GRASSMANNIAN_MU
 from framecore.errors import NotScalable
+from framecore.numerics import DEFAULT_TOL, SpectralData
 from helpers import random_unit_system
 
 
@@ -120,6 +122,18 @@ class TestTightCompletion:
         assert abs(lam - 1.0) <= 1e-12
         assert Z.shape == (1, 2)
         assert np.allclose(np.abs(Z), [[0.0, 1.0]], atol=1e-12)
+
+    def test_split_follows_top_multiplicity_at_the_band_edge(self):
+        # lambda_2 = fl(lambda - eq_abs) sits on the edge of the top block;
+        # every eigenvalue outside that block gets one completion row.
+        X = UnitVectorSystem.from_vectors(np.eye(2))
+        edge = np.array([1.5, 1.5 - DEFAULT_TOL.eq_abs])
+        X.__dict__["_spectrum"] = SpectralData(edge, np.eye(2))
+        k = spectral_data(X).top_multiplicity(DEFAULT_TOL.eq_abs)
+        Z, lam = tight_completion(X)
+        assert lam == 1.5
+        assert Z.shape == (X.dim - k, X.dim) == (1, 2)
+        assert np.array_equal(Z, [[0.0, math.sqrt(1.5 - edge[1])]])
 
     def test_completion_is_tight_on_seeded_systems(self):
         rng = np.random.default_rng(8)

@@ -321,7 +321,23 @@ class TestDropOneSpanning:
         system = UnitVectorSystem.from_vectors([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]])
         calls = self._counted(monkeypatch)
         assert drop_one_spanning(system) == (False, False, True, True)
-        assert calls == []
+        assert calls == [{0}, {1}]
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            UnitVectorSystem.from_vectors([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]]),
+            tripod_example(0.5),
+            UnitVectorSystem.from_vectors(np.vstack([np.eye(4), np.eye(4)[3]])),
+        ],
+        ids=["duplicate-e3", "tripod-0.5", "basis-r4-duplicate-e4"],
+    )
+    def test_breaking_vectors_match_the_oracle(self, monkeypatch, system):
+        want = self._oracle(system)
+        assert False in want
+        calls = self._counted(monkeypatch)
+        assert drop_one_spanning(system) == want
+        assert all({j} in calls for j, keep in enumerate(want) if not keep)
 
     def test_nonspanning_frame_takes_rank_route(self, monkeypatch):
         # lambda_min(S) = 0: no leverage score exists, and none is divided out

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from framecore import frame_operator, simplex_etf, six_in_r4
+from framecore import frame_operator, numerics, simplex_etf, six_in_r4
 from framecore.errors import (
     DimensionMismatch,
     NonFinite,
     NotOrthonormal,
     NotSymmetric,
+    VerificationError,
 )
 from framecore.numerics import (
     DEFAULT_TOL,
@@ -271,6 +272,17 @@ class TestOrthonormalComplement:
             orthonormal_complement(np.array([[1.0, 1.0]]))
         with pytest.raises(NotOrthonormal):
             orthonormal_complement(np.eye(3)[:2] + 0.5)
+
+    def test_unnormalized_completion_fails_verification(self, monkeypatch):
+        def scaled_row_space(M, tol=DEFAULT_TOL):
+            basis, complement = row_space(M, tol)
+            complement = complement.copy()
+            complement[0] *= 1.0 + 1e-6
+            return basis, complement
+
+        monkeypatch.setattr(numerics, "row_space", scaled_row_space)
+        with pytest.raises(VerificationError):
+            orthonormal_complement(np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0))
 
     def test_completion_is_orthonormal(self):
         rng = np.random.default_rng(11)
