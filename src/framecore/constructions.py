@@ -119,15 +119,13 @@ def naimark_complement(
     basis) and DegenerateComplement when m = k.
     """
     m, n = system.size, system.dim
-    spec = spectral_data(system)
-    lam = float(spec.eigenvalues[0])
-    k = spec.top_multiplicity(tol.eq_abs)
+    Z, lam = tight_completion(system, tol)
+    k = n - len(Z)
     if lam <= 1.0 + tol.eq_abs:
         raise NotScalable(f"largest eigenvalue {lam!r} leaves no complement mass")
     if m <= k:
         raise DegenerateComplement(f"complement dimension m - k = {m - k} is not positive")
 
-    Z, _ = tight_completion(system, tol)
     full = np.vstack([system.vectors, Z]) / math.sqrt(lam)  # Parseval rows
     synthesis_rows = full.T  # n x (m + n - k), orthonormal rows
     extra = orthonormal_complement(synthesis_rows, tol)  # (m - k) x (m + n - k)

@@ -276,46 +276,38 @@ def perturb_replace(
 
 
 @dataclass(frozen=True)
-class IsolableSet:
-    """I(X) with the per-vector verdicts backing it."""
-
-    indices: tuple[int, ...]
-    indeterminate: tuple[int, ...]
-    verdicts: tuple[VectorVerdict, ...]
-    warnings: tuple[str, ...]
-
-
-def isolable_set(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> IsolableSet:
-    """Indices of all isolated, deficient, and otherwise isolable vectors.
-
-    Indeterminate vectors are listed separately and excluded; removing a
-    vector on uncertain evidence could empty a genuine core.
-    """
-    verdicts = tuple(classify_vector(system, i, tol) for i in range(system.size))
-    indices = tuple(v.index for v in verdicts if v.isolable)
-    indeterminate = tuple(v.index for v in verdicts if v.status == INDETERMINATE)
-    warnings = []
-    if indeterminate:
-        warnings.append(
-            f"vectors {list(indeterminate)} are indeterminate and were kept (not removed)"
-        )
-    return IsolableSet(indices, indeterminate, verdicts, tuple(warnings))
-
-
-@dataclass(frozen=True)
 class CoreLevel:
     """One step of the peeling iteration.
 
-    ``members`` and ``removed`` index the input system.  ``isolable`` is
-    the isolable set of the level's subsystem that decided the removals;
-    its verdict indices are positions in ``members``.  It is evidence, not
-    identity: levels compare (and hash) by members, removals and coherence.
+    ``members`` and ``removed`` index the input system; ``coherence`` is the
+    level's own.  ``verdicts`` classify the level's subsystem and decided
+    the removals; their indices are positions in ``members``.  They are
+    evidence, not identity: levels compare (and hash) by members, removals
+    and coherence.
     """
 
     members: tuple[int, ...]
     removed: tuple[int, ...]
     coherence: float
-    isolable: IsolableSet = field(compare=False, repr=False)
+    verdicts: tuple[VectorVerdict, ...] = field(compare=False, repr=False)
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """The kept indeterminate vectors, named by input row."""
+        kept = [self.members[v.index] for v in self.verdicts if v.status == INDETERMINATE]
+        return (f"vectors {kept} are indeterminate and were kept (not removed)",) if kept else ()
+
+
+def isolable_set(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> CoreLevel:
+    """Level 0 of the peeling: every vector classified, the isolable ones removed.
+
+    ``removed`` lists the isolated, deficient and otherwise isolable rows.
+    Indeterminate vectors are kept (and named in ``warnings``); removing a
+    vector on uncertain evidence could empty a genuine core.
+    """
+    verdicts = tuple(classify_vector(system, i, tol) for i in range(system.size))
+    removed = tuple(v.index for v in verdicts if v.isolable)
+    return CoreLevel(tuple(range(system.size)), removed, gram(system).coherence, verdicts)
 
 
 @dataclass(frozen=True)
@@ -328,40 +320,37 @@ class CoreTrace:
 def core(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> CoreTrace:
     """Iteratively strip isolable vectors until a fixed point remains.
 
-    Each level records the current member set, the isolable vectors removed
-    from it, its own coherence (recomputed per level; a change from the
-    original coherence is flagged, since for coherence-minimizing input the
-    level coherences all agree) and the verdicts that decided the removals.
-    Level 0 is the whole system, so ``levels[0].isolable`` is
-    ``isolable_set(system)``; when the core is nonempty the last level's
-    verdicts are those of the core's own vectors.  An emptied chain returns
-    an empty core with a warning: genuine minimizers always stop at >= n + 1
-    vectors.
+    Each level is ``isolable_set`` of the current subsystem with its
+    positions mapped to input rows: the members, the isolable vectors
+    removed from them, the level's own coherence (recomputed per level; a
+    change from the original coherence is flagged, since for
+    coherence-minimizing input the level coherences all agree) and the
+    verdicts that decided the removals.  Level 0 is the whole system, so
+    ``levels[0]`` is ``isolable_set(system)``; when the core is nonempty the
+    last level's verdicts are those of the core's own vectors.  An emptied
+    chain returns an empty core with a warning: genuine minimizers always
+    stop at >= n + 1 vectors.
     """
-    alpha0 = gram(system).coherence
     current = tuple(range(system.size))
     levels: list[CoreLevel] = []
     warnings: list[str] = []
-    while True:
-        if not current:
-            warnings.append(
-                "core iteration emptied the set; evidence input is not Grassmannian"
-            )
+    while current:
+        level = isolable_set(system.restrict(current) if levels else system, tol)
+        if levels:
+            removed = tuple(current[j] for j in level.removed)
+            level = CoreLevel(current, removed, level.coherence, level.verdicts)
+            if abs(level.coherence - levels[0].coherence) > tol.neighbor_abs:
+                warnings.append(
+                    f"coherence changed from {levels[0].coherence!r} to "
+                    f"{level.coherence!r} at level {len(levels)}"
+                )
+        warnings.extend(level.warnings)
+        levels.append(level)
+        if not level.removed:
             break
-        sub = system.restrict(current) if levels else system
-        coh = gram(sub).coherence
-        if abs(coh - alpha0) > tol.neighbor_abs:
-            warnings.append(
-                f"coherence changed from {alpha0!r} to {coh!r} at level {len(levels)}"
-            )
-        info = isolable_set(sub, tol)
-        warnings.extend(info.warnings)
-        removed = tuple(current[j] for j in info.indices)
-        levels.append(CoreLevel(current, removed, coh, info))
-        if not removed:
-            break
-        removed_set = set(removed)
-        current = tuple(i for i in current if i not in removed_set)
+        current = tuple(sorted(set(current).difference(level.removed)))
+    if not current:
+        warnings.append("core iteration emptied the set; evidence input is not Grassmannian")
     return CoreTrace(tuple(levels), current, tuple(warnings))
 
 
@@ -417,7 +406,7 @@ def validate_core(
         return CoreValidation(tuple(checks))
 
     final = trace.levels[-1]
-    failures = [final.members[v.index] for v in final.isolable.verdicts if v.neighbor_rank < n]
+    failures = [final.members[v.index] for v in final.verdicts if v.neighbor_rank < n]
     span_ok = not failures
     checks.append(
         (
@@ -493,31 +482,25 @@ def classify_n_plus_2(
     )
 
 
-@dataclass(frozen=True)
-class DiagnosticResult:
-    name: str
-    status: str
-    detail: str
-
-
 def tight_grassmannian_diagnostic(
     system: UnitVectorSystem, tightness_verdict: TightnessVerdict
-) -> DiagnosticResult:
+) -> tuple[str, str, str]:
     """No tight coherence minimizer of n + 2 vectors exists for n > 2.
 
-    Passes when ``tightness_verdict`` (``tightness(system, tol)``) is tight
-    with m = n + 2 and n > 2 (so the input is certainly not a minimizer);
-    everything else is skipped.
+    Returns one ``(name, status, detail)`` check row: PASS when
+    ``tightness_verdict`` (``tightness(system, tol)``) is tight with
+    m = n + 2 and n > 2 (so the input is certainly not a minimizer), SKIP
+    otherwise.
     """
     name = "tight_n_plus_2_forbidden"
     m, n = system.size, system.dim
     if m != n + 2:
-        return DiagnosticResult(name, "SKIP", f"m = {m} is not n + 2")
+        return (name, "SKIP", f"m = {m} is not n + 2")
     if n <= 2:
-        return DiagnosticResult(name, "SKIP", "only applies for n > 2")
+        return (name, "SKIP", "only applies for n > 2")
     if not tightness_verdict.tight:
-        return DiagnosticResult(name, "SKIP", "system is not tight")
-    return DiagnosticResult(
+        return (name, "SKIP", "system is not tight")
+    return (
         name,
         "PASS",
         "tight with m = n + 2 and n > 2, hence certainly not a coherence minimizer",
@@ -555,7 +538,7 @@ def eigen_span_diagnostic(
     spec = spectral_data(system)
     k = spec.top_multiplicity(tol.eq_abs)
     top = spec.eigenvectors[:, :k]
-    verdicts = trace.levels[0].isolable.verdicts
+    verdicts = trace.levels[0].verdicts
     lone = [v.index for v in verdicts if not v.neighbors]
     X = system.vectors[lone]
     # (vectors, k, n): each top eigenvector minus its projection onto each x
@@ -590,30 +573,21 @@ def eigen_span_diagnostic(
     )
 
 
-@dataclass(frozen=True)
-class NeighborCountReport:
-    """Per-vector packing-neighbor counts with tight-frame parity diagnostics."""
-
-    level: float
-    counts: tuple[int, ...]
-    checks: tuple[tuple[str, str, str], ...]
-
-
 def neighbor_count_report(
     trace: CoreTrace, tight: bool, equiangular: bool | None
-) -> NeighborCountReport:
-    """Counts |x_X^alpha| at alpha = coherence, plus parity diagnostics.
+) -> tuple[tuple[str, str, str], ...]:
+    """Parity checks on the counts |x_X^alpha| at alpha = coherence.
 
-    Level 0 of ``trace`` (``core(system, tol)``) supplies alpha, m and the
-    counts; ``tight`` and ``equiangular`` (None when m < 2) are the
-    system's decided flags.  For a tight system that is not equiangular
-    every count must be <= m - 2, and for odd m some count must be <= m - 3;
-    those facts hold for any tight unit-norm frame, so a FAIL means the
-    input or the tolerances are inconsistent.
+    Level 0 of ``trace`` (``core(system, tol)``) supplies m and the counts,
+    its verdicts' ``neighbor_count``s; ``tight`` and ``equiangular`` (None
+    when m < 2) are the system's decided flags.  For a tight system that is
+    not equiangular every count must be <= m - 2, and for odd m some count
+    must be <= m - 3; those facts hold for any tight unit-norm frame, so a
+    FAIL means the input or the tolerances are inconsistent.
     """
     level0 = trace.levels[0]
-    alpha, m = level0.coherence, len(level0.members)
-    counts = tuple(v.neighbor_count for v in level0.isolable.verdicts)
+    m = len(level0.members)
+    counts = [v.neighbor_count for v in level0.verdicts]
     checks = []
     if m >= 2 and tight and not equiangular:
         if max(counts) <= m - 2:
@@ -640,4 +614,4 @@ def neighbor_count_report(
                 )
     else:
         checks.append(("tight_nonequiangular_counts", "SKIP", "applies to tight non-ETF systems only"))
-    return NeighborCountReport(alpha, counts, tuple(checks))
+    return tuple(checks)

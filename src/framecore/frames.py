@@ -235,11 +235,14 @@ def spans(system: UnitVectorSystem, omit=None, tol: Tolerances = DEFAULT_TOL) ->
     Without ``omit``, fewer than n vectors never span, and otherwise the
     cached spectrum of S decides when lambda_min(S) clears the threshold of
     ``_rank_band`` by more than its slack, either way; inside the band, and
-    for every ``omit``, ``rank_of`` decides.
+    for every ``omit``, ``rank_of`` decides.  An omitted index outside
+    0..m-1, or an omission of every vector, raises ShapeError.
     """
     n = system.dim
     if omit:
         omitted = {int(i) for i in omit}
+        if any(i < 0 or i >= system.size for i in omitted):
+            raise ShapeError(f"index out of range for a system of {system.size} vectors")
         keep = [i for i in range(system.size) if i not in omitted]
         if not keep:
             raise ShapeError("omission leaves no vectors")
@@ -315,9 +318,8 @@ def is_equiangular(
     if system.size < 2:
         raise ShapeError("equiangularity needs at least two vectors")
     gm = gram(system)
-    m = system.size
-    mask = ~np.eye(m, dtype=bool)
-    off = np.abs(gm.entries[mask])
+    off = np.abs(gm.entries)
+    np.fill_diagonal(off, off[0, 1])  # an off-diagonal value leaves max and min as they are
     spread = float(off.max() - off.min())
     if spread <= tol.neighbor_abs:
         return True, gm.coherence

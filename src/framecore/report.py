@@ -12,7 +12,7 @@ reproduce the verdict.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,9 +20,7 @@ from .coreanalysis import (
     EIGEN_SPAN_ABS,
     CoreTrace,
     CoreValidation,
-    DiagnosticResult,
     EigenSpanReport,
-    NeighborCountReport,
     core,
     eigen_span_diagnostic,
     neighbor_count_report,
@@ -117,9 +115,9 @@ class Analysis:
     etf: bool | None
     etf_disagreement: str | None
     trace: CoreTrace
-    neighbor_counts: NeighborCountReport
+    neighbor_counts: tuple[tuple[str, str, str], ...]
     eigen_span: EigenSpanReport
-    tight_n_plus_2: DiagnosticResult
+    tight_n_plus_2: tuple[str, str, str]
     core_validation: CoreValidation
 
 
@@ -172,7 +170,7 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
 
     card = facts.bounds
     spec = spectral_data(system)
-    level0 = facts.trace.levels[0].isolable
+    level0 = facts.trace.levels[0]
 
     drop_one = list(drop_one_spanning(system, tol)) if m > n else None
     if drop_one is None:
@@ -183,7 +181,6 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
         drop_status = "FAIL"
         drop_detail = "some deletion breaks spanning; evidence input is not Grassmannian"
 
-    counts = facts.neighbor_counts
     eig_span = facts.eigen_span
     return {
         "input": {
@@ -227,9 +224,9 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
                 "tolerance": _num(tol.rank_rel),
             },
             "neighbor_counts": {
-                "level": _num(counts.level),
-                "counts": list(counts.counts),
-                "checks": _checks(counts.checks),
+                "level": _num(level0.coherence),
+                "counts": [v.neighbor_count for v in level0.verdicts],
+                "checks": _checks(facts.neighbor_counts),
                 "tolerance": _num(tol.neighbor_abs),
             },
             "eigen_span": {
@@ -239,7 +236,7 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
                 "detail": eig_span.detail,
                 "tolerance": _num(EIGEN_SPAN_ABS),
             },
-            "tight_grassmannian": asdict(facts.tight_n_plus_2),
+            "tight_grassmannian": _checks([facts.tight_n_plus_2])[0],
             "core_validation": {"checks": _checks(facts.core_validation.checks)},
         },
         "warnings": warnings + list(level0.warnings),
@@ -278,7 +275,7 @@ def build_check_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) 
         add(("etf_route_consistency", "FAIL", facts.etf_disagreement))
     else:
         add(("etf_route_consistency", "PASS", f"both routes agree: etf = {facts.etf}"))
-    checks += [(f"neighbor_counts.{c[0]}", *c[1:]) for c in facts.neighbor_counts.checks]
+    checks += [(f"neighbor_counts.{c[0]}", *c[1:]) for c in facts.neighbor_counts]
     if spanning:
         target = np.zeros(n)
         target[0] = 1.0
@@ -288,7 +285,7 @@ def build_check_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) 
     else:
         add(("reconstruction_identity", "SKIP", "system does not span"))
     add(("eigen_span", facts.eigen_span.status, facts.eigen_span.detail))
-    add(astuple(facts.tight_n_plus_2))
+    add(facts.tight_n_plus_2)
     checks += [(f"core_validation.{c[0]}", *c[1:]) for c in facts.core_validation.checks]
 
     return {
@@ -318,7 +315,9 @@ def render_text(report: dict) -> str:
 
     Summary lines for each block of the report and one line per vector
     verdict (status, neighbor count and rank); neighbor lists, witnesses
-    and certificates are left to the JSON report.
+    and certificates are left to the JSON report.  The core trace's
+    warnings follow its levels, except those the report's own warnings
+    already list.
     """
     lines = []
     inp = report["input"]
@@ -359,6 +358,9 @@ def render_text(report: dict) -> str:
             f"  level {k}: members={level['members']} removed={level['removed']} "
             f"coherence={_fmt_value(level['coherence'])}"
         )
+    for w in c["warnings"]:
+        if w not in report["warnings"]:
+            lines.append(f"  warning: {w}")
     lines.append(f"core: {c['core']}")
     lines.append("diagnostics:")
     d = report["diagnostics"]

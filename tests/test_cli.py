@@ -598,6 +598,29 @@ class TestTextRenderers:
         assert code == 0
         assert out.count("not_isolable") == 4
 
+    def test_analyze_text_shows_core_trace_warnings(self, monkeypatch, capsys):
+        # Every vector peels at level 0; the JSON lists the warning only
+        # under "core", so the text view must print it under "core trace:".
+        frame = (
+            "1 0\n0.766044443118978 0.642787609686539\n"
+            "-0.17364817766693 0.984807753012208\n"
+        )
+        code, out, _ = run_cli(
+            monkeypatch, capsys, ["analyze", "-", "--format", "text"], stdin=frame
+        )
+        assert code == 0
+        trace_block = out.split("core trace:\n")[1].split("core: ")[0]
+        assert "  warning: core iteration emptied the set" in trace_block
+
+    def test_core_warnings_already_listed_print_once(self):
+        # The level-0 indeterminate warning is in both lists; it prints once.
+        report = build_analysis_report(near_tie())
+        shared = set(report["core"]["warnings"]) & set(report["warnings"])
+        assert any("indeterminate" in w for w in shared)
+        text = render_text(report)
+        for w in report["core"]["warnings"] + report["warnings"]:
+            assert text.count(w) == 1
+
     def test_check_text_mode(self, monkeypatch, capsys):
         code, out, _ = run_cli(
             monkeypatch, capsys, ["check", "-", "--format", "text"], stdin="1 0\n0 1\n"

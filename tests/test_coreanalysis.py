@@ -1,5 +1,7 @@
 """Tests for vector classification, perturbation replacement, and the core."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -233,10 +235,10 @@ class TestIndeterminatePolicy:
         verdict = classify_vector(X, 0)
         assert verdict.status == INDETERMINATE
         assert any("iteration limit" in w for w in verdict.warnings)
-        info = isolable_set(X)
-        assert 0 in info.indeterminate
-        assert 0 not in info.indices
-        assert any("kept" in w for w in info.warnings)
+        level = isolable_set(X)
+        assert level.verdicts[0].status == INDETERMINATE
+        assert 0 not in level.removed
+        assert any("kept" in w for w in level.warnings)
 
     def test_failed_constructive_validation_becomes_indeterminate(self, monkeypatch):
         from framecore import coreanalysis
@@ -272,16 +274,16 @@ class TestPerturbReplace:
 class TestIsolableSet:
     def test_orthonormal_basis_empty(self):
         X = UnitVectorSystem.from_vectors(np.eye(4))
-        assert isolable_set(X).indices == ()
+        assert isolable_set(X).removed == ()
 
     def test_basis_plus_diagonal(self):
-        assert isolable_set(basis_plus_diagonal()).indices == (0, 1, 2)
+        assert isolable_set(basis_plus_diagonal()).removed == (0, 1, 2)
 
     def test_simplex_empty(self):
-        assert isolable_set(simplex_etf(3)).indices == ()
+        assert isolable_set(simplex_etf(3)).removed == ()
 
     def test_six_vector_frame_empty(self):
-        assert isolable_set(six_in_r4()).indices == ()
+        assert isolable_set(six_in_r4()).removed == ()
 
 
 class TestCore:
@@ -318,6 +320,28 @@ class TestCore:
         trace = core(X)
         assert trace.core == ()
         assert any("not Grassmannian" in w for w in trace.warnings)
+
+    def test_level_warnings_name_input_rows(self, monkeypatch):
+        # Reversed, the 21 midpoints come first and peel at level 0; the
+        # simplex is level 1 with members 21..27.  Position 0 of level 1 is
+        # input row 21, and the warning must say so.
+        X = UnitVectorSystem.from_vectors(simplex_with_midpoints(6).vectors[::-1])
+        classify = coreanalysis.classify_vector
+
+        def forced(system, i, tol=DEFAULT_TOL):
+            verdict = classify(system, i, tol)
+            if system.size == 7 and i == 0:
+                return dataclasses.replace(verdict, status=INDETERMINATE, certificate=None)
+            return verdict
+
+        monkeypatch.setattr(coreanalysis, "classify_vector", forced)
+        trace = core(X)
+        assert trace.levels[1].members == tuple(range(21, 28))
+        assert trace.levels[1].verdicts[0].status == INDETERMINATE
+        kept = "vectors [21] are indeterminate and were kept (not removed)"
+        assert trace.levels[1].warnings == (kept,)
+        assert kept in trace.warnings
+        assert not any("vectors [0]" in w for w in trace.warnings)
 
     def test_doubled_mub_core_empties(self):
         # doubling preserves coherence only within the tight class: every
@@ -400,8 +424,8 @@ class TestDichotomy:
         members = (0, 1, 2, 3, 4)
         trace = CoreTrace(
             (
-                CoreLevel((0, 1, 2, 3, 4, 5), (5,), 1.0 / 3.0, isolable_set(six)),
-                CoreLevel(members, (), 1.0 / 3.0, isolable_set(six.restrict(members))),
+                CoreLevel((0, 1, 2, 3, 4, 5), (5,), 1.0 / 3.0, isolable_set(six).verdicts),
+                CoreLevel(members, (), 1.0 / 3.0, isolable_set(six.restrict(members)).verdicts),
             ),
             members,
             (),
@@ -418,8 +442,8 @@ class TestDichotomy:
         alpha = 1.0 / np.sqrt(2.0)
         trace = CoreTrace(
             (
-                CoreLevel((0, 1, 2, 3), (1,), alpha, isolable_set(mm)),
-                CoreLevel(members, (), alpha, isolable_set(mm.restrict(members))),
+                CoreLevel((0, 1, 2, 3), (1,), alpha, isolable_set(mm).verdicts),
+                CoreLevel(members, (), alpha, isolable_set(mm.restrict(members)).verdicts),
             ),
             members,
             (),
@@ -431,16 +455,16 @@ class TestDichotomy:
 class TestTightGrassmannianDiagnostic:
     def test_six_vector_frame_skipped_not_tight(self):
         X = six_in_r4()
-        assert tight_grassmannian_diagnostic(X, tightness(X)).status == "SKIP"
+        assert tight_grassmannian_diagnostic(X, tightness(X))[1] == "SKIP"
 
     def test_mub_skipped_small_dimension(self):
         # tight with m = n + 2 but n = 2; the obstruction needs n > 2
         X = mub_r2()
-        assert tight_grassmannian_diagnostic(X, tightness(X)).status == "SKIP"
+        assert tight_grassmannian_diagnostic(X, tightness(X))[1] == "SKIP"
 
     def test_synthetic_tight_unflagged_passes(self):
         Y, _, _ = naimark_complement(circular_frame(5))  # tight, 5 vectors in R^3
-        assert tight_grassmannian_diagnostic(Y, tightness(Y)).status == "PASS"
+        assert tight_grassmannian_diagnostic(Y, tightness(Y))[1] == "PASS"
 
 
 class TestEigenSpanDiagnostic:
@@ -549,7 +573,7 @@ class TestClassificationProperties:
                     sub = X.restrict(subset)
                     if abs(gram(sub).coherence - alpha) > 1e-12:
                         continue
-                    if isolable_set(sub, tol).indices:
+                    if isolable_set(sub, tol).removed:
                         continue
                     assert set(subset) <= core_set
 
@@ -783,7 +807,7 @@ class TestLevelVerdictsAreReused:
             n = X.dim
             trace = core(X, tol)
             status, expected = _eigen_span_reference(X, tol)
-            verdicts = trace.levels[0].isolable.verdicts
+            verdicts = trace.levels[0].verdicts
             calls = []
 
             def recorded(rows, tol=DEFAULT_TOL):
@@ -919,9 +943,11 @@ class TestEachFactDecidedOnce:
             tight, equiangular = tightness(X, tol).tight, is_equiangular(X, tol)[0]
             with monkeypatch.context() as mp:
                 _forbid_recomputation(mp)
-                rep = neighbor_count_report(trace, tight, equiangular)
-            assert (rep.level, rep.counts) == (alpha, counts)
-            names = [name for name, _, _ in rep.checks]
+                checks = neighbor_count_report(trace, tight, equiangular)
+            level0 = trace.levels[0]
+            assert level0.coherence == alpha
+            assert tuple(v.neighbor_count for v in level0.verdicts) == counts
+            names = [name for name, _, _ in checks]
             if tight and not is_etf(X, tol):
                 gated += 1
                 assert names[0] == "max_count_le_m_minus_2"

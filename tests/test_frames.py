@@ -235,6 +235,9 @@ class TestSpans:
         onb = UnitVectorSystem.from_vectors(np.eye(3))
         assert spans(onb)
         assert not spans(onb, omit={0})
+        for out_of_range in ({99}, {-1}, {0, 3}):
+            with pytest.raises(ShapeError):
+                spans(onb, omit=out_of_range)
 
     @staticmethod
     def _weak_third(delta2: float) -> UnitVectorSystem:
@@ -520,33 +523,35 @@ class TestReconstruct:
 
 
 def _neighbor_counts(X):
-    """``neighbor_count_report`` of X with its own tightness and equiangularity."""
-    return neighbor_count_report(core(X), tightness(X).tight, is_equiangular(X)[0])
+    """Level-0 neighbor counts of X and ``neighbor_count_report``'s checks on them."""
+    trace = core(X)
+    counts = tuple(v.neighbor_count for v in trace.levels[0].verdicts)
+    return counts, neighbor_count_report(trace, tightness(X).tight, is_equiangular(X)[0])
 
 
 class TestNeighborCountReport:
     def test_six_vector_frame(self):
         X = six_in_r4()
-        rep = _neighbor_counts(X)
-        assert rep.counts == (5, 5, 5, 5, 5, 5)
-        assert all(status == "SKIP" for _, status, _ in rep.checks)
+        counts, checks = _neighbor_counts(X)
+        assert counts == (5, 5, 5, 5, 5, 5)
+        assert all(status == "SKIP" for _, status, _ in checks)
 
     def test_orthonormal_basis(self):
         X = UnitVectorSystem.from_vectors(np.eye(3))
-        rep = _neighbor_counts(X)
-        assert rep.counts == (2, 2, 2)
+        counts, _ = _neighbor_counts(X)
+        assert counts == (2, 2, 2)
 
     def test_mub_counts_and_parity(self):
         X = mub_r2()
-        rep = _neighbor_counts(X)
-        assert rep.counts == (2, 2, 2, 2)
-        names = {name: status for name, status, _ in rep.checks}
+        counts, checks = _neighbor_counts(X)
+        assert counts == (2, 2, 2, 2)
+        names = {name: status for name, status, _ in checks}
         assert names["max_count_le_m_minus_2"] == "PASS"
 
     def test_circular_seven_odd_parity(self):
         X = circular_frame(7)
-        rep = _neighbor_counts(X)
-        names = {name: status for name, status, _ in rep.checks}
+        _, checks = _neighbor_counts(X)
+        names = {name: status for name, status, _ in checks}
         assert names["max_count_le_m_minus_2"] == "PASS"
         assert names["odd_m_some_count_le_m_minus_3"] == "PASS"
 
@@ -589,8 +594,8 @@ class TestInvariants:
         tight_family += [double(simplex_etf(3)), double(circular_frame(5))]
         for sys_ in tight_family:
             assert tightness(sys_).tight
-            rep = _neighbor_counts(sys_)
-            if max(rep.counts) == sys_.size - 1:
+            counts, _ = _neighbor_counts(sys_)
+            if max(counts) == sys_.size - 1:
                 assert is_etf(sys_)
 
     def test_spectral_trace(self):
