@@ -4,8 +4,8 @@ Commands: analyze, core, classify, naimark, double, construct, catalog,
 check.  Frame files are read from a path argument or stdin ("-"), and
 ``construct``/``naimark``/``double`` write the same structured format that
 the other commands read, so shell pipelines compose.  Exit codes: 0
-success, 1 usage, 2 parse/validation, 3 numerical failure, 4 check-suite
-failure.
+success, 1 usage, 2 parse/validation or an input too large to allocate,
+3 numerical failure, 4 check-suite failure.
 """
 
 from __future__ import annotations
@@ -295,8 +295,8 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except ValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValidationError, MemoryError) as exc:  # MemoryError: an input too large to allocate
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_VALIDATION
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

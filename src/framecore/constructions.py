@@ -11,7 +11,7 @@ checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,23 +176,36 @@ GRASSMANNIAN_ALPHA = "grassmannian_alpha"
 ONE_GRASSMANNIAN_MU = "one_grassmannian_mu"
 
 
-@dataclass(frozen=True)
-class AngleCatalogEntry:
-    """An exactly known optimal packing angle for (m, n)."""
-
+class _AngleCatalogFields(NamedTuple):
     m: int
     n: int
     kind: str
     value: float
     rule: str
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.value < 1.0:
-            raise VerificationError(f"catalog value {self.value!r} outside (0, 1)")
-        if self.m > self.n and self.value < welch_bound(self.m, self.n) - 1e-12:
+
+class AngleCatalogEntry(_AngleCatalogFields):
+    """An exactly known optimal packing angle for (m, n).
+
+    Construction and ``_replace`` raise VerificationError for a value
+    outside (0, 1) or, when m > n, below the Welch bound.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return cls._make(_AngleCatalogFields(*args, **kwargs))
+
+    @classmethod
+    def _make(cls, iterable):
+        entry = super()._make(iterable)
+        if not 0.0 < entry.value < 1.0:
+            raise VerificationError(f"catalog value {entry.value!r} outside (0, 1)")
+        if entry.m > entry.n and entry.value < welch_bound(entry.m, entry.n) - 1e-12:
             raise VerificationError(
-                f"catalog value {self.value!r} below the Welch bound for ({self.m}, {self.n})"
+                f"catalog value {entry.value!r} below the Welch bound for ({entry.m}, {entry.n})"
             )
+        return entry
 
 
 def angle_catalog(m: int, n: int) -> tuple[AngleCatalogEntry, ...]:
@@ -227,16 +240,14 @@ def angle_catalog(m: int, n: int) -> tuple[AngleCatalogEntry, ...]:
     return tuple(entries)
 
 
-@dataclass(frozen=True)
-class CatalogComparison:
+class CatalogComparison(NamedTuple):
     description: str
     lhs: float
     rhs: float
     ok: bool
 
 
-@dataclass(frozen=True)
-class CatalogReport:
+class CatalogReport(NamedTuple):
     comparisons: tuple[CatalogComparison, ...]
 
     @property

@@ -23,7 +23,7 @@ family at the packing angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ ISOLABLE_STATUSES = (ISOLATED, DEFICIENT_ISOLABLE, ISOLABLE)
 EIGEN_SPAN_ABS = 1e-7
 
 
-@dataclass(frozen=True)
-class VectorVerdict:
+class VectorVerdict(NamedTuple):
     """Classification of one vector with its witness or certificate.
 
     ``neighbors`` are the indices y of the vector's level-alpha neighbors
@@ -236,14 +235,8 @@ def classify_vector(
             warnings += (f"constructive validation failed: {exc}",)
 
     return VectorVerdict(
-        i,
-        status,
-        witness=witness,
-        certificate=certificate,
-        neighbors=nb.indices,
-        signs=nb.signs,
-        neighbor_rank=nb_rank,
-        warnings=warnings,
+        i, status, witness=witness, certificate=certificate, neighbors=nb.indices,
+        signs=nb.signs, neighbor_rank=nb_rank, warnings=warnings,
     )
 
 
@@ -275,21 +268,29 @@ def perturb_replace(
     return cand
 
 
-@dataclass(frozen=True)
-class CoreLevel:
+class CoreLevel(NamedTuple):
     """One step of the peeling iteration.
 
     ``members`` and ``removed`` index the input system; ``coherence`` is the
     level's own.  ``verdicts`` classify the level's subsystem and decided
     the removals; their indices are positions in ``members``.  They are
-    evidence, not identity: levels compare (and hash) by members, removals
-    and coherence.
+    evidence, not identity: a level compares (``==`` and ``!=``) and hashes
+    by its first three fields only, and equals only another ``CoreLevel``.
     """
 
     members: tuple[int, ...]
     removed: tuple[int, ...]
     coherence: float
-    verdicts: tuple[VectorVerdict, ...] = field(compare=False, repr=False)
+    verdicts: tuple[VectorVerdict, ...]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CoreLevel) and self[:3] == other[:3]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -310,8 +311,7 @@ def isolable_set(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> Cor
     return CoreLevel(tuple(range(system.size)), removed, gram(system).coherence, verdicts)
 
 
-@dataclass(frozen=True)
-class CoreTrace:
+class CoreTrace(NamedTuple):
     levels: tuple[CoreLevel, ...]
     core: tuple[int, ...]
     warnings: tuple[str, ...]
@@ -354,8 +354,7 @@ def core(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> CoreTrace:
     return CoreTrace(tuple(levels), current, tuple(warnings))
 
 
-@dataclass(frozen=True)
-class CoreValidation:
+class CoreValidation(NamedTuple):
     checks: tuple[tuple[str, str, str], ...]
 
     @property
@@ -427,8 +426,7 @@ INAPPLICABLE = "inapplicable"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class DichotomyVerdict:
+class DichotomyVerdict(NamedTuple):
     """Outcome of the n+2 dichotomy: full core or an equiangular n+1 subset."""
 
     kind: str
@@ -507,8 +505,7 @@ def tight_grassmannian_diagnostic(
     )
 
 
-@dataclass(frozen=True)
-class EigenSpanReport:
+class EigenSpanReport(NamedTuple):
     """Distances from top frame-operator eigenvectors to span({x} u neighbors)."""
 
     status: str

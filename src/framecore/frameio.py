@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import fields
 
 import numpy as np
 
 from .errors import ParseError, ShapeError
 from .frames import UnitVectorSystem
 from .numerics import Tolerances
-
-_TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
 
 
 def round15(x: float) -> float:
@@ -123,7 +120,7 @@ def _parse_structured(text: str) -> tuple[UnitVectorSystem, dict]:
         if not isinstance(tols, dict):
             raise ParseError('"tolerances" must be an object')
         for key, value in tols.items():
-            if key not in _TOLERANCE_KEYS:
+            if key not in Tolerances._fields:
                 raise ParseError(f"unknown tolerance {key!r}")
             try:
                 overrides[key] = _number(value)

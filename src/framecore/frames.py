@@ -13,8 +13,8 @@ every stage that reads them through ``gram``, ``frame_operator`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,20 +35,27 @@ RENORM_LIMIT = 1e-6
 WELCH_EQ_ABS = 1e-7
 
 
-@dataclass(frozen=True)
 class UnitVectorSystem:
     """An ordered system of m unit vectors in R^n (rows of ``vectors``).
 
-    ``from_vectors`` and ``restrict`` make ``vectors`` read-only, so the
-    data derived from it never goes stale: the Gram matrix, the frame
-    operator and its spectrum are computed on first use and kept on the
-    system (read them through ``gram``, ``frame_operator`` and
-    ``spectral_data``).  A restricted subsystem computes its own.
+    ``from_vectors`` and ``restrict`` make ``vectors`` read-only, and no
+    attribute can be rebound, so the data derived from them never goes
+    stale: the Gram matrix, the frame operator and its spectrum are computed
+    on first use and kept on the system (read them through ``gram``,
+    ``frame_operator`` and ``spectral_data``).  A restricted subsystem
+    computes its own.
     """
 
-    vectors: np.ndarray
-    labels: tuple[str, ...] | None = None
-    warnings: tuple[str, ...] = ()
+    def __init__(self, vectors: np.ndarray, labels: tuple[str, ...] | None = None, warnings=()):
+        self.__dict__.update(vectors=vectors, labels=labels, warnings=warnings)
+
+    def __setattr__(self, name: str, *_) -> None:
+        raise AttributeError(f"{name!r} of a UnitVectorSystem is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"UnitVectorSystem(vectors={self.vectors!r}, labels={self.labels!r}, warnings={self.warnings!r})"
 
     @property
     def dim(self) -> int:
@@ -132,16 +139,14 @@ class UnitVectorSystem:
         return sym_eig(self._frame_operator)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     """Pairwise inner products with the coherence max_{i!=j} |G_ij|."""
 
     entries: np.ndarray
     coherence: float
 
 
-@dataclass(frozen=True)
-class NeighborSet:
+class NeighborSet(NamedTuple):
     """Indices meeting vector ``owner`` at |inner product| = level, with signs."""
 
     owner: int
@@ -150,8 +155,7 @@ class NeighborSet:
     signs: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class TightnessVerdict:
+class TightnessVerdict(NamedTuple):
     """Whether the frame operator is (m/n) I within eq_abs."""
 
     tight: bool
@@ -166,8 +170,7 @@ class TightnessVerdict:
         return "tight" if self.tight else "not_tight"
 
 
-@dataclass(frozen=True)
-class BoundsCard:
+class BoundsCard(NamedTuple):
     """Welch, orthoplex, and Gerzon reference values next to the coherence."""
 
     m: int
@@ -368,14 +371,8 @@ def bounds_card(system: UnitVectorSystem) -> BoundsCard:
         meets = None
     gerzon = n * (n + 1) // 2
     return BoundsCard(
-        m=m,
-        n=n,
-        coherence=alpha,
-        welch=w,
-        orthoplex=1.0 / math.sqrt(n),
-        gerzon_max_m=gerzon,
-        meets_welch=meets,
-        exceeds_gerzon=m > gerzon,
+        m=m, n=n, coherence=alpha, welch=w, orthoplex=1.0 / math.sqrt(n),
+        gerzon_max_m=gerzon, meets_welch=meets, exceeds_gerzon=m > gerzon,
     )
 
 

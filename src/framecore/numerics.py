@@ -13,7 +13,7 @@ behind the vector classification and the complement pipeline.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,32 +29,42 @@ from .errors import (
 _MACHINE_EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class _ToleranceFields(NamedTuple):
+    eq_abs: float = 1e-9
+    neighbor_abs: float = 1e-8
+    hull_abs: float = 1e-9
+    rank_rel: float = 1e-10
+
+
+class Tolerances(_ToleranceFields):
     """Thresholds threaded through every comparison in the package.
 
     eq_abs        absolute tolerance for scalar equality
     neighbor_abs  tolerance on | |<x,y>| - alpha | for neighbor membership
     hull_abs      NNLS residual norm at or below which a cone query is feasible
     rank_rel      relative cutoff on squared singular values for numerical rank
+
+    Construction and ``_replace`` raise ValueError outside (0, 1e-2).
     """
 
-    eq_abs: float = 1e-9
-    neighbor_abs: float = 1e-8
-    hull_abs: float = 1e-9
-    rank_rel: float = 1e-10
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, value in asdict(self).items():
+    def __new__(cls, *args, **kwargs):
+        return cls._make(_ToleranceFields(*args, **kwargs))
+
+    @classmethod
+    def _make(cls, iterable):
+        tol = super()._make(iterable)
+        for name, value in zip(tol._fields, tol):
             if not (0.0 < value < 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2), got {value!r}")
+        return tol
 
 
 DEFAULT_TOL = Tolerances()
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Eigenvalues (descending) and orthonormal eigenvectors (columns)."""
 
     eigenvalues: np.ndarray
@@ -166,8 +176,7 @@ def orthonormal_complement(rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ConeResult:
+class ConeResult(NamedTuple):
     """Outcome of a conic-feasibility query.
 
     ``weights`` are the NNLS solution lam >= 0 on both outcomes.

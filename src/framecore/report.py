@@ -12,7 +12,7 @@ reproduce the verdict.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def _checks(checks) -> list[dict]:
 
 
 def tolerances_dict(tol: Tolerances) -> dict:
-    return {name: _num(value) for name, value in asdict(tol).items()}
+    return {name: _num(value) for name, value in tol._asdict().items()}
 
 
 def core_trace_dict(trace: CoreTrace) -> dict:
@@ -100,8 +100,7 @@ def verdict_dict(verdict) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """The facts ``analyze`` and ``check`` both render, decided once per system.
 
     ``equiangular`` is (None, None) and ``etf`` None when m < 2.  ``etf`` is

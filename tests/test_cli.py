@@ -1,6 +1,5 @@
 """Tests for file formats, the command surface, and report emission."""
 
-import dataclasses
 import io
 import json
 import math
@@ -398,8 +397,28 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 1.46 TiB"), "Unable to allocate 1.46 TiB"),
+            (MemoryError(), "out of memory"),
+        ],
+    )
+    def test_allocation_failure_is_one_error_line(self, monkeypatch, capsys, tmp_path, exc, message):
+        # Stands in for an oversized allocation, whose outcome would depend
+        # on the host's memory overcommit policy.
+        def oversized(m):
+            raise exc
+
+        monkeypatch.setattr(framecore.constructions, "circular_frame", oversized)
+        path = tmp_path / "out.json"
+        argv = ["construct", "circular", "--m", "100000000000", "--out", str(path)]
+        code, out, err = run_cli(monkeypatch, capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not path.exists()
+
     def test_file_can_set_every_tolerance(self, monkeypatch, capsys):
-        values = {f.name: round15(3.0 * f.default) for f in dataclasses.fields(Tolerances)}
+        values = {name: round15(3.0 * default) for name, default in Tolerances._field_defaults.items()}
         frame = json.dumps({"dim": 2, "vectors": [[1, 0], [0, 1]], "tolerances": values})
         for command in ("analyze", "core", "classify", "check"):
             code, out, _ = run_cli(monkeypatch, capsys, [command, "-"], stdin=frame)

@@ -1,7 +1,5 @@
 """Tests for vector classification, perturbation replacement, and the core."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -331,7 +329,7 @@ class TestCore:
         def forced(system, i, tol=DEFAULT_TOL):
             verdict = classify(system, i, tol)
             if system.size == 7 and i == 0:
-                return dataclasses.replace(verdict, status=INDETERMINATE, certificate=None)
+                return verdict._replace(status=INDETERMINATE, certificate=None)
             return verdict
 
         monkeypatch.setattr(coreanalysis, "classify_vector", forced)

@@ -19,11 +19,11 @@ SUBMODULES = sorted(
 )
 
 # Imports the CLI in a fresh interpreter, runs one command and reports which
-# framecore modules are registered and which have executed.  A module whose
-# execution LazyLoader defers keeps a ModuleType subclass until its first
-# attribute access runs it.
-PROBE = """
-import contextlib, io, json, sys, types
+# framecore modules are registered and which have executed, and whether
+# ``dataclasses`` is loaded.  A module whose execution LazyLoader defers
+# keeps a ModuleType subclass until its first attribute access runs it.
+PROBE_IMPORTS = "import contextlib, io, json, sys, types"
+PROBE = PROBE_IMPORTS + """
 import framecore.cli
 registered = sorted(k for k in sys.modules if k.startswith("framecore."))
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -31,7 +31,10 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 executed = sorted(
     k for k, m in sys.modules.items() if k.startswith("framecore.") and type(m) is types.ModuleType
 )
-print(json.dumps({"code": code, "registered": registered, "executed": executed}))
+print(json.dumps({
+    "code": code, "registered": registered, "executed": executed,
+    "dataclasses": "dataclasses" in sys.modules,
+}))
 """
 
 ANALYSIS = ("analyze", "core", "classify", "check")
@@ -52,18 +55,34 @@ def frame_path(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize(
+COMMANDS = pytest.mark.parametrize(
     "argv",
     [[c] for c in ANALYSIS + TRANSFORMS]
     + [["construct", "six_in_r4"], ["catalog", "--m", "6", "--n", "4"]],
     ids=lambda argv: argv[0],
 )
-def test_each_command_executes_only_the_modules_it_runs(argv, frame_path):
-    if argv[0] in ANALYSIS + TRANSFORMS:
-        argv = argv + [frame_path]
-    done = _child(["-c", PROBE, *argv])
-    assert done.returncode == 0, done.stderr
-    probe = json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def probe(frame_path):
+    """``probe(argv)``: PROBE's report for one command, one child per command."""
+    reports = {}
+
+    def run_probe(argv):
+        if argv[0] in ANALYSIS + TRANSFORMS:
+            argv = argv + [frame_path]
+        if tuple(argv) not in reports:
+            done = _child(["-c", PROBE, *argv])
+            assert done.returncode == 0, done.stderr
+            reports[tuple(argv)] = json.loads(done.stdout)
+        return reports[tuple(argv)]
+
+    return run_probe
+
+
+@COMMANDS
+def test_each_command_executes_only_the_modules_it_runs(argv, probe):
+    probe = probe(argv)
     assert probe["code"] == 0
     # Every module is registered at import, as code that walks sys.modules expects.
     assert probe["registered"] == [f"framecore.{m}" for m in SUBMODULES]
@@ -75,6 +94,23 @@ def test_each_command_executes_only_the_modules_it_runs(argv, frame_path):
     else:
         assert not executed & {"coreanalysis", "report"}
         assert "constructions" in executed
+
+
+@pytest.fixture(scope="module")
+def numpy_loads_dataclasses():
+    """Whether a child with only the probe's own imports and numpy holds ``dataclasses``."""
+    done = _child(["-c", PROBE_IMPORTS + '; import numpy; print(json.dumps("dataclasses" in sys.modules))'])
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@COMMANDS
+def test_no_command_loads_dataclasses(argv, probe, numpy_loads_dataclasses):
+    # Each dataclass execs generated source for its methods at class
+    # creation, a cost every child pays at start-up; the records are
+    # NamedTuples.  A numpy that imports dataclasses itself does not fail this.
+    assert probe(argv)["code"] == 0
+    assert probe(argv)["dataclasses"] <= numpy_loads_dataclasses
 
 
 def test_public_names_resolve_to_their_home_modules():
