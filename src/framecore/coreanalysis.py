@@ -60,6 +60,22 @@ ISOLABLE_STATUSES = (ISOLATED, DEFICIENT_ISOLABLE, ISOLABLE)
 # eigen_span_diagnostic passes when every distance is at or below this.
 EIGEN_SPAN_ABS = 1e-7
 
+# What a failed necessary condition of a coherence minimizer is evidence of.
+NOT_GRASSMANNIAN = "evidence input is not Grassmannian"
+
+
+def check_row(
+    name: str, ok: bool, detail: str, failure: str | None = NOT_GRASSMANNIAN
+) -> tuple[str, str, str]:
+    """One ``(name, status, detail)`` check row: PASS, or FAIL with ``failure``.
+
+    A failed row's detail is ``f"{detail}; {failure}"``, or ``detail``
+    alone when ``failure`` is None.
+    """
+    if ok:
+        return (name, "PASS", detail)
+    return (name, "FAIL", detail if failure is None else f"{detail}; {failure}")
+
 
 class VectorVerdict(NamedTuple):
     """Classification of one vector with its witness or certificate.
@@ -350,7 +366,7 @@ def core(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> CoreTrace:
             break
         current = tuple(sorted(set(current).difference(level.removed)))
     if not current:
-        warnings.append("core iteration emptied the set; evidence input is not Grassmannian")
+        warnings.append(f"core iteration emptied the set; {NOT_GRASSMANNIAN}")
     return CoreTrace(tuple(levels), current, tuple(warnings))
 
 
@@ -367,57 +383,38 @@ def validate_core(
 ) -> CoreValidation:
     """Check the structural guarantees of the core of a genuine minimizer.
 
-    For coherence zero the core must be the whole system and the spanning
+    At coherence zero the core must be the whole system and the spanning
     check is skipped.  Otherwise the core must have at least n + 1 members
     and each member's neighbors *within the core* must span R^n.  Those
     neighbor sets and ranks are read from the verdicts of the trace's last
-    level, which classified the core's own subsystem, so ``trace`` must come
-    from ``core(system, tol)``.  Failures are labeled as evidence that the
-    input is not a coherence minimizer; they never raise.
+    level, which classified the core's own subsystem at the core's
+    coherence, so ``trace`` must come from ``core(system, tol)``.  When that
+    coherence is more than ``neighbor_abs`` below the system's, the passing
+    spanning row names both values instead of claiming the packing angle.
+    Failures are labeled ``NOT_GRASSMANNIAN`` (an empty core fails the
+    spanning row unlabeled); they never raise.
     """
-    n = system.dim
-    checks: list[tuple[str, str, str]] = []
-    alpha0 = gram(system).coherence
+    n, alpha0 = system.dim, gram(system).coherence
     if alpha0 <= tol.neighbor_abs:
         full = trace.core == tuple(range(system.size))
-        checks.append(
-            (
-                "orthogonal_case_full_core",
-                "PASS" if full else "FAIL",
-                "coherence is zero, so the core must be the whole system"
-                + ("" if full else "; evidence input is not Grassmannian"),
-            )
-        )
-        checks.append(("core_neighbors_span", "SKIP", "spanning check skipped at coherence zero"))
-        return CoreValidation(tuple(checks))
-
-    size_ok = len(trace.core) >= n + 1
-    checks.append(
-        (
-            "core_size_at_least_n_plus_1",
-            "PASS" if size_ok else "FAIL",
-            f"|core| = {len(trace.core)}, n + 1 = {n + 1}"
-            + ("" if size_ok else "; evidence input is not Grassmannian"),
-        )
-    )
+        return CoreValidation((
+            check_row("orthogonal_case_full_core", full,
+                      "coherence is zero, so the core must be the whole system"),
+            ("core_neighbors_span", "SKIP", "spanning check skipped at coherence zero"),
+        ))
+    size = check_row("core_size_at_least_n_plus_1", len(trace.core) >= n + 1,
+                     f"|core| = {len(trace.core)}, n + 1 = {n + 1}")
     if not trace.core:
-        checks.append(("core_neighbors_span", "FAIL", "core is empty"))
-        return CoreValidation(tuple(checks))
-
+        span = check_row("core_neighbors_span", False, "core is empty", failure=None)
+        return CoreValidation((size, span))
     final = trace.levels[-1]
     failures = [final.members[v.index] for v in final.verdicts if v.neighbor_rank < n]
-    span_ok = not failures
-    checks.append(
-        (
-            "core_neighbors_span",
-            "PASS" if span_ok else "FAIL",
-            "every core vector meets a spanning family at the packing angle"
-            if span_ok
-            else f"core vectors {failures} lack spanning neighbor sets; "
-            "evidence input is not Grassmannian",
-        )
-    )
-    return CoreValidation(tuple(checks))
+    at = "at the packing angle"
+    if abs(final.coherence - alpha0) > tol.neighbor_abs:
+        at = f"at the core's coherence {final.coherence:.15g}, below the packing angle {alpha0:.15g}"
+    detail = (f"core vectors {failures} lack spanning neighbor sets" if failures
+              else f"every core vector meets a spanning family {at}")
+    return CoreValidation((size, check_row("core_neighbors_span", not failures, detail)))
 
 
 FULL_CORE = "full_core"
@@ -460,24 +457,11 @@ def classify_n_plus_2(
         mask = ~np.eye(sub.size, dtype=bool)
         if float(np.max(np.abs(np.abs(G[mask]) - alpha))) <= tol.neighbor_abs:
             return DichotomyVerdict(EQUIANGULAR_SUBSET, trace.core, trace.warnings)
-        return DichotomyVerdict(
-            INCONCLUSIVE,
-            trace.core,
-            trace.warnings
-            + (
-                "core has n + 1 vectors but is not equiangular at the coherence; "
-                "evidence input is not Grassmannian",
-            ),
-        )
-    return DichotomyVerdict(
-        INCONCLUSIVE,
-        trace.core,
-        trace.warnings
-        + (
-            f"core size {len(trace.core)} matches neither branch; "
-            "evidence input is not Grassmannian",
-        ),
-    )
+        reason = "core has n + 1 vectors but is not equiangular at the coherence"
+    else:
+        reason = f"core size {len(trace.core)} matches neither branch"
+    warning = f"{reason}; {NOT_GRASSMANNIAN}"
+    return DichotomyVerdict(INCONCLUSIVE, trace.core, trace.warnings + (warning,))
 
 
 def tight_grassmannian_diagnostic(
@@ -553,21 +537,11 @@ def eigen_span_diagnostic(
                 tuple(float(np.linalg.norm(e - basis.T @ (basis @ e))) for e in top.T)
             )
     if k > 1:
-        return EigenSpanReport(
-            "AMBIGUOUS",
-            k,
-            tuple(per_vector),
-            "top eigenvalue is degenerate; the property is stated for one specific eigenvector",
-        )
+        why = "top eigenvalue is degenerate; the property is stated for one specific eigenvector"
+        return EigenSpanReport("AMBIGUOUS", k, tuple(per_vector), why)
     worst = max(d[0] for d in per_vector)
-    ok = worst <= EIGEN_SPAN_ABS
-    return EigenSpanReport(
-        "PASS" if ok else "FAIL",
-        k,
-        tuple(per_vector),
-        f"max distance {worst:.3e}"
-        + ("" if ok else "; evidence input is not Grassmannian"),
-    )
+    row = check_row("eigen_span", worst <= EIGEN_SPAN_ABS, f"max distance {worst:.3e}")
+    return EigenSpanReport(row[1], k, tuple(per_vector), row[2])
 
 
 def neighbor_count_report(
@@ -577,38 +551,30 @@ def neighbor_count_report(
 
     Level 0 of ``trace`` (``core(system, tol)``) supplies m and the counts,
     its verdicts' ``neighbor_count``s; ``tight`` and ``equiangular`` (None
-    when m < 2) are the system's decided flags.  For a tight system that is
-    not equiangular every count must be <= m - 2, and for odd m some count
-    must be <= m - 3; those facts hold for any tight unit-norm frame, so a
-    FAIL means the input or the tolerances are inconsistent.
+    when m < 2) are the system's decided flags.  Unless the system is tight
+    and not equiangular (with m >= 2) the one row is a SKIP.  Otherwise
+    every count must be <= m - 2, and for odd m some count must be
+    <= m - 3; those facts hold for any tight unit-norm frame, so a FAIL
+    says the input or the tolerances are inconsistent, not that the input
+    is not Grassmannian.
     """
     level0 = trace.levels[0]
     m = len(level0.members)
+    if m < 2 or not tight or equiangular:
+        return (("tight_nonequiangular_counts", "SKIP", "applies to tight non-ETF systems only"),)
     counts = [v.neighbor_count for v in level0.verdicts]
-    checks = []
-    if m >= 2 and tight and not equiangular:
-        if max(counts) <= m - 2:
-            checks.append(("max_count_le_m_minus_2", "PASS", f"max count {max(counts)} <= {m - 2}"))
-        else:
-            checks.append(
-                (
-                    "max_count_le_m_minus_2",
-                    "FAIL",
-                    f"max count {max(counts)} > {m - 2}: tight non-equiangular systems cannot "
-                    "have a full neighbor set; input or tolerances are inconsistent",
-                )
-            )
-        if m % 2 == 1:
-            if min(counts) <= m - 3:
-                checks.append(("odd_m_some_count_le_m_minus_3", "PASS", f"min count {min(counts)} <= {m - 3}"))
-            else:
-                checks.append(
-                    (
-                        "odd_m_some_count_le_m_minus_3",
-                        "FAIL",
-                        f"all counts exceed {m - 3} with odd m; Gram parity is violated",
-                    )
-                )
-    else:
-        checks.append(("tight_nonequiangular_counts", "SKIP", "applies to tight non-ETF systems only"))
-    return tuple(checks)
+    top, low = max(counts), min(counts)
+    fits, parity = top <= m - 2, low <= m - 3
+    rows = (check_row(
+        "max_count_le_m_minus_2", fits,
+        f"max count {top} <= {m - 2}" if fits else f"max count {top} > {m - 2}: "
+        "tight non-equiangular systems cannot have a full neighbor set",
+        "input or tolerances are inconsistent",
+    ),)
+    if m % 2 == 1:
+        rows += (check_row(
+            "odd_m_some_count_le_m_minus_3", parity,
+            f"min count {low} <= {m - 3}" if parity else f"all counts exceed {m - 3} with odd m",
+            "Gram parity is violated",
+        ),)
+    return rows

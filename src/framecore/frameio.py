@@ -33,7 +33,8 @@ def parse_frame(text: str) -> UnitVectorSystem:
 
 
 def parse_frame_with_overrides(text: str) -> tuple[UnitVectorSystem, dict]:
-    """Like :func:`parse_frame` but also returns tolerance overrides."""
+    """Like :func:`parse_frame` but also returns tolerance overrides; ignores a leading BOM."""
+    text = text.removeprefix("\ufeff")
     stripped = _strip_comments(text)
     if not stripped.strip():
         raise ParseError("empty frame file")

@@ -21,6 +21,7 @@ from .coreanalysis import (
     CoreTrace,
     CoreValidation,
     EigenSpanReport,
+    check_row,
     core,
     eigen_span_diagnostic,
     neighbor_count_report,
@@ -57,10 +58,6 @@ def _vec(arr):
     if arr is None:
         return None
     return [round15(float(v)) for v in np.asarray(arr).ravel()]
-
-
-def _status(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
 
 
 def _checks(checks) -> list[dict]:
@@ -171,14 +168,13 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
     spec = spectral_data(system)
     level0 = facts.trace.levels[0]
 
-    drop_one = list(drop_one_spanning(system, tol)) if m > n else None
-    if drop_one is None:
-        drop_status, drop_detail = "SKIP", "needs m > n"
-    elif all(drop_one):
-        drop_status, drop_detail = "PASS", "every single-vector deletion leaves a spanning set"
-    else:
-        drop_status = "FAIL"
-        drop_detail = "some deletion breaks spanning; evidence input is not Grassmannian"
+    drop_one, drop = None, ("drop_one_spanning", "SKIP", "needs m > n")
+    if m > n:
+        drop_one = list(drop_one_spanning(system, tol))
+        ok = all(drop_one)
+        detail = ("every single-vector deletion leaves a spanning set" if ok
+                  else "some deletion breaks spanning")
+        drop = check_row("drop_one_spanning", ok, detail)
 
     eig_span = facts.eigen_span
     return {
@@ -217,9 +213,9 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
         "core": core_trace_dict(facts.trace),
         "diagnostics": {
             "drop_one_spanning": {
-                "status": drop_status,
+                "status": drop[1],
                 "spans_after_single_removal": drop_one,
-                "detail": drop_detail,
+                "detail": drop[2],
                 "tolerance": _num(tol.rank_rel),
             },
             "neighbor_counts": {
@@ -259,28 +255,28 @@ def build_check_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) 
     add(("unit_norms", "PASS", "validated on load" + warned))
     trace_val = float(np.trace(frame_operator(system)))
     detail = f"trace = {trace_val!r}, expected m = {m} within 1e-8*m"
-    add(("frame_operator_trace", _status(abs(trace_val - m) <= 1e-8 * m), detail))
+    add(check_row("frame_operator_trace", abs(trace_val - m) <= 1e-8 * m, detail, None))
     if m > n and spanning:
         alpha, w = facts.bounds.coherence, facts.bounds.welch
         detail = f"coherence {alpha!r} vs welch {w!r} (slack 1e-9)"
-        add(("welch_inequality", _status(alpha >= w - 1e-9), detail))
+        add(check_row("welch_inequality", alpha >= w - 1e-9, detail, None))
     else:
         add(("welch_inequality", "SKIP", "needs m > n and a spanning system"))
     tight = facts.tightness
     add(("tightness", "PASS", f"{tight.kind}; max deviation from (m/n) I is {tight.deviation!r}"))
     if m < 2:
         add(("etf_route_consistency", "SKIP", "needs m >= 2"))
-    elif facts.etf_disagreement is not None:
-        add(("etf_route_consistency", "FAIL", facts.etf_disagreement))
     else:
-        add(("etf_route_consistency", "PASS", f"both routes agree: etf = {facts.etf}"))
+        agree = facts.etf_disagreement is None
+        detail = f"both routes agree: etf = {facts.etf}" if agree else facts.etf_disagreement
+        add(check_row("etf_route_consistency", agree, detail, None))
     checks += [(f"neighbor_counts.{c[0]}", *c[1:]) for c in facts.neighbor_counts]
     if spanning:
         target = np.zeros(n)
         target[0] = 1.0
         err = float(np.linalg.norm(reconstruct(system, target, tol) - target))
         detail = f"||reconstruct(e1) - e1|| = {err:.3e} (tolerance 1e-7)"
-        add(("reconstruction_identity", _status(err <= 1e-7), detail))
+        add(check_row("reconstruction_identity", err <= 1e-7, detail, None))
     else:
         add(("reconstruction_identity", "SKIP", "system does not span"))
     add(("eigen_span", facts.eigen_span.status, facts.eigen_span.detail))

@@ -149,6 +149,20 @@ class TestParseFrame:
         assert (code, out) == (2, "")
         assert err.startswith("error: label ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("route", ["file", "stdin"])
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_leading_byte_order_mark_is_ignored(self, monkeypatch, capsys, tmp_path, fmt, route):
+        text = "1 0\n0 1\n" if fmt == "plain" else '{"dim": 2, "vectors": [[1, 0], [0, 1]]}\n'
+        assert parse_frame("\ufeff" + text).size == 2
+        plain = run_cli(monkeypatch, capsys, ["analyze", "-"], stdin=text)
+        if route == "file":
+            frame = tmp_path / "frame"
+            frame.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            got = run_cli(monkeypatch, capsys, ["analyze", str(frame)])
+        else:
+            got = run_cli(monkeypatch, capsys, ["analyze", "-"], stdin="\ufeff" + text)
+        assert got == plain and got[0] == 0
+
 
 class TestReport:
     def test_json_round_trip(self):

@@ -393,6 +393,24 @@ class TestValidateCore:
         assert statuses["core_size_at_least_n_plus_1"] == "FAIL"
         assert not report.passed
 
+    def test_core_below_the_packing_angle_is_named(self):
+        # The midpoints peel at level 0 and leave the simplex, whose own
+        # coherence 1/6 is far below the system's; the passing spanning row
+        # must name both values instead of claiming the packing angle.
+        X = simplex_with_midpoints(6)
+        trace = core(X)
+        alpha, core_alpha = gram(X).coherence, trace.levels[-1].coherence
+        assert abs(core_alpha - 1.0 / 6.0) <= 1e-12 and alpha > 0.6
+        rows = {name: (status, detail) for name, status, detail in validate_core(X, trace).checks}
+        status, detail = rows["core_neighbors_span"]
+        assert status == "PASS"
+        assert "at the packing angle" not in detail
+        assert detail == (
+            f"every core vector meets a spanning family at the core's coherence "
+            f"{core_alpha:.15g}, below the packing angle {alpha:.15g}"
+        )
+        assert "0.166666666666667" in detail and "0.645497224367903" in detail
+
     def test_orthonormal_basis_zero_branch(self):
         X = UnitVectorSystem.from_vectors(np.eye(3))
         report = validate_core(X, core(X))
@@ -755,8 +773,11 @@ def _core_span_reference(X, trace, tol):
         if not nb.indices or rank_of(sub.vectors[list(nb.indices)], tol) < n:
             failures.append(trace.core[local])
     if not failures:
-        detail = "every core vector meets a spanning family at the packing angle"
-        return ("core_neighbors_span", "PASS", detail)
+        alpha0 = gram(X).coherence
+        at = "at the packing angle"
+        if abs(alpha - alpha0) > tol.neighbor_abs:
+            at = f"at the core's coherence {alpha:.15g}, below the packing angle {alpha0:.15g}"
+        return ("core_neighbors_span", "PASS", f"every core vector meets a spanning family {at}")
     return (
         "core_neighbors_span",
         "FAIL",
