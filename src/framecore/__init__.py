@@ -1,11 +1,13 @@
 """Coherence analysis and core extraction for finite unit-norm frames.
 
-The public names are resolved on first access (PEP 562), so importing the
-package, or one of its submodules, executes only the submodules that are
-used.
+Importing the package registers every submodule but ``cli`` in
+``sys.modules`` and on the package, each executed on its first attribute
+access (``LazyLoader``), and resolves public names through them on first
+access (PEP 562): only the submodules that are used execute.
 """
 
-import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
@@ -73,12 +75,27 @@ _HOME = {name: module for module, names in _HOMES.items() for name in names}
 __all__ = sorted(_HOME)
 
 
+def _register_lazily(names) -> None:
+    for name in names:
+        spec = importlib.util.find_spec(f"{__name__}.{name}")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+        globals()[name] = module
+
+
+# ``cli`` stays a plain module: ``python -m framecore.cli`` warns when the
+# module it runs is already in ``sys.modules``.
+_register_lazily((*_HOMES, "errors"))
+
+
 def __getattr__(name: str):
     try:
-        module = _HOME[name]
+        module = globals()[_HOME[name]]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    value = getattr(module, name)
     globals()[name] = value
     return value
 

@@ -6,44 +6,24 @@ check.  Frame files are read from a path argument or stdin ("-"), and
 the other commands read, so shell pipelines compose.  Exit codes: 0
 success, 1 usage, 2 parse/validation or an input too large to allocate,
 3 numerical failure, 4 check-suite failure.
+
+This module is only the shell (arguments, input, output and exit codes):
+``report`` builds and renders what each analysis command prints.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import os
 import sys
 
+# The package executes a submodule on its first attribute access: the analysis
+# commands never execute ``constructions``, nor the transforms the analysis.
+from . import constructions, report
 from .errors import NumericalError, ValidationError
 from .frames import UnitVectorSystem, gram, tightness
 from .frameio import emit_json, parse_frame_with_overrides, round15, write_frame
 from .numerics import Tolerances
-
-
-def _lazy(name: str):
-    """The submodule ``framecore.<name>``, executed on its first attribute access.
-
-    It is registered in ``sys.modules`` and on the package at once, like an
-    eager import, so code that walks the package's modules finds it.
-    """
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-    return module
-
-
-# The analysis commands never execute ``constructions``, and the transform
-# commands never execute ``coreanalysis`` or ``report``.
-coreanalysis = _lazy("coreanalysis")
-report = _lazy("report")
-constructions = _lazy("constructions")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,7 +59,8 @@ def _build_parser() -> _Parser:
     out.add_argument("--out", default=None, help="write output to this path")
     analysis, transform = [tols, fmt, out], [tols, out]
 
-    parser = _Parser(prog="framecore", description=__doc__)
+    # --help shows the docstring without its last paragraph, which is about the code.
+    parser = _Parser(prog="framecore", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=analysis, help="full analysis report")
@@ -108,13 +89,13 @@ def _build_parser() -> _Parser:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {'stdin' if path == '-' else path}: {exc}") from None
 
 
 def _load(args) -> tuple[UnitVectorSystem, Tolerances]:
@@ -149,52 +130,16 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_core(args) -> int:
     system, tol = _load(args)
-    trace = coreanalysis.core(system, tol)
-    payload = {"tolerances": report.tolerances_dict(tol), **report.core_trace_dict(trace)}
-
-    def text(rep: dict) -> str:
-        lines = []
-        for k, level in enumerate(rep["levels"]):
-            lines.append(
-                f"level {k}: members={level['members']} removed={level['removed']} "
-                f"coherence={level['coherence']}"
-            )
-        lines.append(f"core: {rep['core']}")
-        for w in rep["warnings"]:
-            lines.append(f"warning: {w}")
-        return "\n".join(lines) + "\n"
-
-    _emit(args, payload, text)
+    _emit(args, report.build_core_report(system, tol), report.render_core_text)
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
     system, tol = _load(args)
-    if args.index is not None:
-        if not 0 <= args.index < system.size:
-            raise ValidationError(
-                f"--index {args.index} out of range for {system.size} vectors"
-            )
-        verdicts = [coreanalysis.classify_vector(system, args.index, tol)]
-    else:
-        verdicts = list(coreanalysis.isolable_set(system, tol).verdicts)
-    payload = {
-        "tolerances": report.tolerances_dict(tol),
-        "verdicts": [report.verdict_dict(v) for v in verdicts],
-    }
-
-    def text(rep: dict) -> str:
-        lines = []
-        for v in rep["verdicts"]:
-            lines.append(
-                f"[{v['index']}] {v['status']} (neighbors={v['neighbor_count']}, "
-                f"neighbor_rank={v['neighbor_rank']})"
-            )
-            for w in v["warnings"]:
-                lines.append(f"    warning: {w}")
-        return "\n".join(lines) + "\n"
-
-    _emit(args, payload, text)
+    if args.index is not None and not 0 <= args.index < system.size:
+        raise ValidationError(f"--index {args.index} out of range for {system.size} vectors")
+    payload = report.build_classify_report(system, tol, args.index)
+    _emit(args, payload, report.render_classify_text)
     return EXIT_OK
 
 

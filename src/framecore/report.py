@@ -1,13 +1,15 @@
-"""Analysis report assembly and rendering.
+"""Analysis report assembly and rendering: every view an analysis command prints.
 
 ``analysis`` decides the facts that ``analyze`` and ``check`` share once
 per system; ``build_analysis_report`` and ``build_check_report`` render
-them, each next to the few facts only its command reads, as plain dicts
-with a fixed key order.  ``emit_report`` renders a dict as JSON (15
-significant digits, byte-stable across runs); ``render_text`` and
-``render_check_text`` give the human-readable views.  Every decided
-quantity carries the tolerance it was decided under so a reader can
-reproduce the verdict.
+them, each next to the few facts only its command reads, and
+``build_core_report`` and ``build_classify_report`` give the core trace
+and the per-vector verdicts of ``core`` and ``classify``, all as plain
+dicts with a fixed key order.  ``emit_report`` renders a dict as JSON (15
+significant digits, byte-stable across runs); ``render_text``,
+``render_core_text``, ``render_classify_text`` and ``render_check_text``
+give the human-readable views.  Every decided quantity carries the
+tolerance it was decided under so a reader can reproduce the verdict.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from .coreanalysis import (
     CoreValidation,
     EigenSpanReport,
     check_row,
+    classify_vector,
     core,
     eigen_span_diagnostic,
+    isolable_set,
     neighbor_count_report,
     tight_grassmannian_diagnostic,
     validate_core,
@@ -290,6 +294,18 @@ def build_check_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) 
     }
 
 
+def build_core_report(system: UnitVectorSystem, tol: Tolerances) -> dict:
+    """The core trace of ``core(system, tol)``, after the tolerances it ran under."""
+    return {"tolerances": tolerances_dict(tol), **core_trace_dict(core(system, tol))}
+
+
+def build_classify_report(system: UnitVectorSystem, tol: Tolerances, index=None) -> dict:
+    """The verdicts of level 0 of the core trace, or of vector ``index`` alone."""
+    verdicts = (isolable_set(system, tol).verdicts if index is None
+                else [classify_vector(system, index, tol)])
+    return {"tolerances": tolerances_dict(tol), "verdicts": [verdict_dict(v) for v in verdicts]}
+
+
 def emit_report(report: dict) -> str:
     """Render a report dict as stable JSON (``render_text`` gives the text view)."""
     return emit_json(report)
@@ -303,6 +319,13 @@ def _fmt_value(v) -> str:
     if isinstance(v, float):
         return f"{v:.10g}"
     return str(v)
+
+
+def _verdict_lines(v: dict, indent: str) -> list[str]:
+    """One verdict's status line, then its warnings indented four more spaces."""
+    head = (f"{indent}[{v['index']}] {v['status']} "
+            f"(neighbors={v['neighbor_count']}, neighbor_rank={v['neighbor_rank']})")
+    return [head, *(f"{indent}    warning: {w}" for w in v["warnings"])]
 
 
 def render_text(report: dict) -> str:
@@ -340,12 +363,7 @@ def render_text(report: dict) -> str:
     lines.append(f"spectrum: [{eigs}] top multiplicity {s['top_multiplicity']}")
     lines.append("vectors:")
     for v in report["vectors"]:
-        lines.append(
-            f"  [{v['index']}] {v['status']} "
-            f"(neighbors={v['neighbor_count']}, neighbor_rank={v['neighbor_rank']})"
-        )
-        for w in v["warnings"]:
-            lines.append(f"      warning: {w}")
+        lines += _verdict_lines(v, "  ")
     c = report["core"]
     lines.append("core trace:")
     for k, level in enumerate(c["levels"]):
@@ -378,6 +396,24 @@ def render_text(report: dict) -> str:
         lines.append("warnings:")
         for w in report["warnings"]:
             lines.append(f"  {w}")
+    return "\n".join(lines) + "\n"
+
+
+def render_core_text(report: dict) -> str:
+    """One line per level of the core trace, the core, then the trace's warnings."""
+    lines = [
+        f"level {k}: members={level['members']} removed={level['removed']} "
+        f"coherence={level['coherence']}"
+        for k, level in enumerate(report["levels"])
+    ]
+    lines.append(f"core: {report['core']}")
+    lines += [f"warning: {w}" for w in report["warnings"]]
+    return "\n".join(lines) + "\n"
+
+
+def render_classify_text(report: dict) -> str:
+    """One line per verdict (status, neighbor count and rank), each followed by its warnings."""
+    lines = [line for v in report["verdicts"] for line in _verdict_lines(v, "")]
     return "\n".join(lines) + "\n"
 
 

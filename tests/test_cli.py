@@ -164,6 +164,15 @@ class TestParseFrame:
         assert got == plain and got[0] == 0
 
 
+    def test_non_utf8_file_is_one_error_line(self, monkeypatch, capsys, tmp_path):
+        frame = tmp_path / "frame"
+        frame.write_bytes(b"1 0\n0 1\xff\n")
+        code, out, err = run_cli(monkeypatch, capsys, ["core", str(frame)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {frame}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+
 class TestReport:
     def test_json_round_trip(self):
         report = build_analysis_report(six_in_r4())
@@ -616,6 +625,9 @@ class TestCheckCommand:
 
 
 class TestTextRenderers:
+    # Every vector of this R^2 frame peels at level 0.
+    EMPTIED = "1 0\n0.766044443118978 0.642787609686539\n-0.17364817766693 0.984807753012208\n"
+
     def test_core_text_mode(self, monkeypatch, capsys):
         code, out, _ = run_cli(
             monkeypatch, capsys, ["core", "-", "--format", "text"], stdin="1 0\n0 1\n"
@@ -632,18 +644,49 @@ class TestTextRenderers:
         assert out.count("not_isolable") == 4
 
     def test_analyze_text_shows_core_trace_warnings(self, monkeypatch, capsys):
-        # Every vector peels at level 0; the JSON lists the warning only
-        # under "core", so the text view must print it under "core trace:".
-        frame = (
-            "1 0\n0.766044443118978 0.642787609686539\n"
-            "-0.17364817766693 0.984807753012208\n"
-        )
+        # The JSON lists the emptied-set warning only under "core", so the
+        # text view must print it under "core trace:".
         code, out, _ = run_cli(
-            monkeypatch, capsys, ["analyze", "-", "--format", "text"], stdin=frame
+            monkeypatch, capsys, ["analyze", "-", "--format", "text"], stdin=self.EMPTIED
         )
         assert code == 0
         trace_block = out.split("core trace:\n")[1].split("core: ")[0]
         assert "  warning: core iteration emptied the set" in trace_block
+
+    def test_core_text_bytes_with_two_levels(self, monkeypatch, capsys):
+        frame = emit_frame(simplex_with_midpoints(6))
+        got = run_cli(monkeypatch, capsys, ["core", "-", "--format", "text"], stdin=frame)
+        assert got == (0, (
+            "level 0: members=%s removed=%s coherence=0.645497224367904\n"
+            "level 1: members=%s removed=[] coherence=0.166666666666667\n"
+            "core: %s\n"
+            "warning: coherence changed from 0.6454972243679041 to 0.16666666666666705 at level 1\n"
+        ) % (list(range(28)), list(range(7, 28)), list(range(7)), list(range(7))), "")
+
+    def test_core_text_bytes_of_an_emptied_core(self, monkeypatch, capsys):
+        got = run_cli(monkeypatch, capsys, ["core", "-", "--format", "text"], stdin=self.EMPTIED)
+        assert got == (0, (
+            "level 0: members=[0, 1, 2] removed=[0, 1, 2] coherence=0.766044443118978\n"
+            "core: []\n"
+            "warning: core iteration emptied the set; evidence input is not Grassmannian\n"
+        ), "")
+
+    NEAR_TIE_VERDICTS = (
+        "[0] indeterminate (neighbors=1, neighbor_rank=1)\n"
+        "    warning: constructive validation failed: no eps in 60 halvings gave all inner"
+        " products below 0.54030230586814 - 5.4030230586814e-07\n",
+        "[1] deficient_isolable (neighbors=1, neighbor_rank=1)\n",
+        "[2] isolated (neighbors=0, neighbor_rank=0)\n",
+    )
+
+    @pytest.mark.parametrize("index", [None, 0, 1, 2])
+    def test_classify_text_bytes_with_verdict_warnings(self, monkeypatch, capsys, index):
+        argv = ["classify", "-", "--format", "text"]
+        if index is not None:
+            argv += ["--index", str(index)]
+        got = run_cli(monkeypatch, capsys, argv, stdin=emit_frame(near_tie()))
+        lines = self.NEAR_TIE_VERDICTS if index is None else [self.NEAR_TIE_VERDICTS[index]]
+        assert got == (0, "".join(lines), "")
 
     def test_core_warnings_already_listed_print_once(self):
         # The level-0 indeterminate warning is in both lists; it prints once.
@@ -765,3 +808,22 @@ def test_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
     assert done.returncode == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Broken pipe" in err
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_non_utf8_stdin_exits_2_with_one_error_line(errors):
+    # The in-process stdin is a StringIO, which cannot carry undecodable bytes.
+    # A strict stdin fails to decode; a surrogateescape one (the C locale's)
+    # passes the bytes on to the parser.
+    env = dict(os.environ, PYTHONIOENCODING=f"utf-8:{errors}")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "framecore", "core"],
+        input=b"1 0\n0 1\xff\n",
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    err = done.stderr.decode()
+    assert (done.returncode, done.stdout) == (2, b""), err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -96,6 +96,30 @@ def test_each_command_executes_only_the_modules_it_runs(argv, probe):
         assert "constructions" in executed
 
 
+def test_the_package_registers_its_submodules_and_executes_only_those_used():
+    probe = PROBE_IMPORTS + """
+def executed():
+    return sorted(
+        k[10:] for k, m in sys.modules.items() if k.startswith("framecore.") and type(m) is types.ModuleType
+    )
+import framecore.report
+from framecore import constructions
+registered = sorted(k[10:] for k in sys.modules if k.startswith("framecore."))
+at_import = executed()
+framecore.core
+print(json.dumps([registered, at_import, executed()]))
+"""
+    done = _child(["-c", probe])
+    assert done.returncode == 0, done.stderr
+    registered, at_import, after_core = json.loads(done.stdout)
+    assert registered == [m for m in SUBMODULES if m != "cli"]
+    assert at_import == []
+    # Reading one public name executes its home module and the modules that
+    # home imports, and no other.
+    assert {"coreanalysis", "errors", "frames", "numerics"} <= set(after_core)
+    assert not set(after_core) & {"constructions", "report"}
+
+
 @pytest.fixture(scope="module")
 def numpy_loads_dataclasses():
     """Whether a child with only the probe's own imports and numpy holds ``dataclasses``."""
