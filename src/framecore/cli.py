@@ -89,9 +89,11 @@ def _build_parser() -> _Parser:
 
 
 def _read_source(path: str) -> str:
+    """The frame text: bytes decoded as strict UTF-8, or a text-only stdin as it reads."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            raw = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:

@@ -109,38 +109,25 @@ class VectorVerdict(NamedTuple):
         return len(self.neighbors)
 
 
-def _near_tie_warnings(row: np.ndarray, i: int, alpha: float, tol: Tolerances) -> list[str]:
-    """Flag off-diagonal magnitudes hovering just outside the neighbor band."""
-    gap = np.abs(np.abs(row) - alpha)
-    near = (tol.neighbor_abs < gap) & (gap <= 2.0 * tol.neighbor_abs)
-    near[i] = False
-    return [
-        f"|G[{i},{j}]| is within 2x neighbor_abs of the coherence; "
-        "classification is tolerance-sensitive here"
-        for j in np.flatnonzero(near).tolist()
-    ]
-
-
 def _perturb_search(
-    others: np.ndarray, x: np.ndarray, witness: np.ndarray, alpha: float, tol: Tolerances
-) -> tuple[np.ndarray, float]:
-    """Halving search for eps with |<x', y>| < alpha - margin for all y.
+    system: UnitVectorSystem, nb: NeighborSet, witness: np.ndarray
+) -> np.ndarray:
+    """Halving search for eps with |<x', y>| < alpha - margin for every other y.
 
-    x' = (x + eps w)/||x + eps w|| and margin = max(1e-12, 1e-6 alpha).
-    Starts at eps0 = min(1/2, (alpha - delta)/2) with delta the largest
-    inner product outside the neighbor band, and halves at most 60 times.
+    alpha and x are ``nb.level`` and row ``nb.owner``; x' = (x + eps w)/||x + eps w||,
+    margin = max(1e-12, 1e-6 alpha).  Starts at eps0 = min(1/2, (alpha -
+    ``nb.below_band``)/2) and halves at most 60 times; x's own row counts as -inf.
     """
+    alpha, x = nb.level, system.vectors[nb.owner]
     margin = max(1e-12, 1e-6 * alpha)
-    prods = np.abs(others @ x) if others.size else np.zeros(0)
-    below_band = prods[prods <= alpha - tol.neighbor_abs]
-    delta = float(below_band.max()) if below_band.size else 0.0
-    eps = min(0.5, (alpha - delta) / 2.0)
+    eps = min(0.5, (alpha - nb.below_band) / 2.0)
     for _ in range(60):
         cand = x + eps * witness
         cand = cand / np.linalg.norm(cand)
-        worst = float(np.max(np.abs(others @ cand))) if others.size else -np.inf
-        if worst < alpha - margin:
-            return cand, eps
+        prods = np.abs(system.vectors @ cand)
+        prods[nb.owner] = -np.inf
+        if float(prods.max()) < alpha - margin:
+            return cand
         eps *= 0.5
     raise SearchFailed(
         f"no eps in 60 halvings gave all inner products below {alpha} - {margin}"
@@ -194,23 +181,23 @@ def classify_vector(
 ) -> VectorVerdict:
     """Classify vector i as isolated / deficient / isolable / not isolable.
 
-    At coherence <= neighbor_abs nothing is isolable (orthonormal systems
-    and singletons stay put).  Otherwise: an empty neighbor set means
-    isolated; neighbors that fail to span R^n mean deficient (witnessed by
-    a direction orthogonal to them); else one cone query decides whether
-    -sum_y u_y lies in the cone of the projected signed neighbors u_y:
-    feasible means not isolable (the weights plus one are the certificate),
-    infeasible means isolable (the NNLS residual is the witness).  Isolable
-    verdicts are validated by actually constructing the perturbed vector;
-    a failed construction or an iteration cap yields ``indeterminate``
-    rather than a guess.
+    Reads vector i's ``neighbors`` record at the coherence alpha; its near
+    ties become tolerance-sensitivity warnings.  At alpha <= neighbor_abs
+    nothing is isolable (orthonormal systems and singletons stay put).
+    Otherwise: an empty neighbor set means isolated; neighbors that fail to
+    span R^n mean deficient (witnessed by a direction orthogonal to them);
+    else one cone query decides whether -sum_y u_y lies in the cone of the
+    projected signed neighbors u_y: feasible means not isolable (the weights
+    plus one are the certificate), infeasible means isolable (the NNLS
+    residual is the witness).  Isolable verdicts are validated by actually
+    constructing the perturbed vector; a failed construction or an
+    iteration cap yields ``indeterminate`` rather than a guess.
     """
-    if not 0 <= i < system.size:
-        raise ShapeError(f"index {i} out of range")
     gm = gram(system)
     alpha = gm.coherence
-    warnings = tuple(_near_tie_warnings(gm.entries[i], i, alpha, tol))
     nb = neighbors(system, i, alpha, tol)
+    warnings = tuple(f"|G[{i},{j}]| is within 2x neighbor_abs of the coherence; "
+                     "classification is tolerance-sensitive here" for j in nb.near_ties)
     span_basis, complement = (
         row_space(system.vectors[list(nb.indices)], tol) if nb.indices else ((), None)
     )
@@ -243,9 +230,8 @@ def classify_vector(
                 witness = result.certificate / np.linalg.norm(result.certificate)
 
     if status in (ISOLABLE, DEFICIENT_ISOLABLE):
-        others = np.delete(system.vectors, i, axis=0)
         try:
-            _perturb_search(others, system.vectors[i], witness, alpha, tol)
+            _perturb_search(system, nb, witness)
         except SearchFailed as exc:
             status, witness = INDETERMINATE, None
             warnings += (f"constructive validation failed: {exc}",)
@@ -261,13 +247,12 @@ def perturb_replace(
 ) -> np.ndarray:
     """Unit vector x' = (x_i + eps w)/||x_i + eps w|| strictly under coherence.
 
-    eps is found by halving so that |<x', y>| < coh(X) - margin for every
-    other y, margin = max(1e-12, 1e-6 coh(X)).  The witness must be a unit
-    vector orthogonal to x_i (within 1e-8); raises SearchFailed when 60
-    halvings give no strict improvement.
+    Reads vector i's ``neighbors`` record at coh(X), then halves eps until
+    |<x', y>| < coh(X) - max(1e-12, 1e-6 coh(X)) for every other y.  The
+    normalized witness must be orthogonal to x_i (within 1e-8); raises
+    SearchFailed when 60 halvings give no strict improvement.
     """
-    if not 0 <= i < system.size:
-        raise ShapeError(f"index {i} out of range")
+    nb = neighbors(system, i, gram(system).coherence, tol)
     w = np.asarray(witness, dtype=float).ravel()
     if w.size != system.dim:
         raise ShapeError(f"witness has dimension {w.size}, expected {system.dim}")
@@ -275,13 +260,9 @@ def perturb_replace(
     if norm <= 1e-12:
         raise ValidationError("witness must be a nonzero direction")
     w = w / norm
-    x = system.vectors[i]
-    if abs(float(w @ x)) > 1e-8:
+    if abs(float(w @ system.vectors[i])) > 1e-8:
         raise ValidationError("witness is not orthogonal to the replaced vector")
-    alpha = gram(system).coherence
-    others = np.delete(system.vectors, i, axis=0)
-    cand, _ = _perturb_search(others, x, w, alpha, tol)
-    return cand
+    return _perturb_search(system, nb, w)
 
 
 class CoreLevel(NamedTuple):
@@ -438,10 +419,10 @@ def classify_n_plus_2(
 ) -> DichotomyVerdict:
     """For m = n + 2: either the core is everything or an equiangular n+1 set.
 
-    Inapplicable unless m = n + 2.  Any other outcome (including an n+1
-    core that fails the pairwise-angle check) is reported as inconclusive
-    with a not-a-minimizer warning.  A precomputed ``trace`` is reused when
-    given.
+    Inapplicable unless m = n + 2.  An n + 1 core is equiangular when each
+    member's neighbors in ``trace.levels[0]`` hold the other n.  Any other
+    outcome is inconclusive with a not-a-minimizer warning.  A precomputed
+    ``trace`` (``core(system, tol)``) is reused when given.
     """
     m, n = system.size, system.dim
     if m != n + 2:
@@ -451,11 +432,8 @@ def classify_n_plus_2(
     if trace.core == tuple(range(m)):
         return DichotomyVerdict(FULL_CORE, trace.core, trace.warnings)
     if len(trace.core) == n + 1:
-        alpha = gram(system).coherence
-        sub = system.restrict(trace.core)
-        G = gram(sub).entries
-        mask = ~np.eye(sub.size, dtype=bool)
-        if float(np.max(np.abs(np.abs(G[mask]) - alpha))) <= tol.neighbor_abs:
+        members, verdicts = set(trace.core), trace.levels[0].verdicts
+        if all(members - {j} <= set(verdicts[j].neighbors) for j in trace.core):
             return DichotomyVerdict(EQUIANGULAR_SUBSET, trace.core, trace.warnings)
         reason = "core has n + 1 vectors but is not equiangular at the coherence"
     else:

@@ -38,7 +38,7 @@ def parse_frame_with_overrides(text: str) -> tuple[UnitVectorSystem, dict]:
     stripped = _strip_comments(text)
     if not stripped.strip():
         raise ParseError("empty frame file")
-    if stripped.lstrip()[0] == "{":
+    if stripped.lstrip()[0] in "{[":  # no plain-format row starts with "["
         return _parse_structured(text)
     return _parse_plain(stripped), {}
 

@@ -147,12 +147,19 @@ class GramMatrix(NamedTuple):
 
 
 class NeighborSet(NamedTuple):
-    """Indices meeting vector ``owner`` at |inner product| = level, with signs."""
+    """Vector ``owner``'s band at |inner product| = level, read from its Gram row.
+
+    ``indices`` are the j != owner with | |G_ij| - level | <= neighbor_abs, with
+    ``signs`` of their G_ij; ``near_ties`` the j != owner one to two neighbor_abs
+    outside the band; ``below_band`` the largest |G_ij| below it (0.0 if none).
+    """
 
     owner: int
     level: float
     indices: tuple[int, ...]
     signs: tuple[float, ...]
+    near_ties: tuple[int, ...]
+    below_band: float
 
 
 class TightnessVerdict(NamedTuple):
@@ -202,17 +209,24 @@ def neighbors(
     tol: Tolerances = DEFAULT_TOL,
     gram_matrix: GramMatrix | None = None,
 ) -> NeighborSet:
-    """Indices j != i with | |G_ij| - level | <= neighbor_abs, with signs."""
+    """Vector i's whole ``NeighborSet`` from one | |G_ij| - level | pass over its Gram row.
+
+    The row is read from ``gram_matrix``, the system's own by default."""
     if not 0 <= i < system.size:
         raise ShapeError(f"index {i} out of range")
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"level must lie in [0, 1], got {level}")
     row = (gram_matrix or gram(system)).entries[i]
-    hit = np.abs(np.abs(row) - level) <= tol.neighbor_abs
-    hit[i] = False
+    size = np.abs(row)
+    size[i] = -np.inf  # outside every band, and below none of the others
+    gap = np.abs(size - level)
+    hit = gap <= tol.neighbor_abs
     hits = np.flatnonzero(hit)
+    near = np.flatnonzero(~hit & (gap <= 2.0 * tol.neighbor_abs))
+    below = float(np.max(size, where=~hit & (size < level), initial=0.0))
     signs = np.where(row[hits] >= 0.0, 1.0, -1.0)
-    return NeighborSet(i, level, tuple(hits.tolist()), tuple(signs.tolist()))
+    return NeighborSet(i, level, tuple(hits.tolist()), tuple(signs.tolist()),
+                       tuple(near.tolist()), below)
 
 
 def frame_operator(system: UnitVectorSystem) -> np.ndarray:

@@ -813,8 +813,8 @@ def test_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
 @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
 def test_non_utf8_stdin_exits_2_with_one_error_line(errors):
     # The in-process stdin is a StringIO, which cannot carry undecodable bytes.
-    # A strict stdin fails to decode; a surrogateescape one (the C locale's)
-    # passes the bytes on to the parser.
+    # Stdin's bytes are decoded as strict UTF-8 whatever its error handler,
+    # so a surrogateescape stdin (the C locale's) gives the strict message.
     env = dict(os.environ, PYTHONIOENCODING=f"utf-8:{errors}")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     done = subprocess.run(
@@ -826,4 +826,29 @@ def test_non_utf8_stdin_exits_2_with_one_error_line(errors):
     )
     err = done.stderr.decode()
     assert (done.returncode, done.stdout) == (2, b""), err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: cannot read stdin: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, message",
+    [
+        (["analyze"], '{"vectors": [[1, 0]]}', 2, 'needs "dim" and "vectors" keys'),
+        (["analyze"], '{"dim": 2, "vectors": []}', 2, '"vectors" must be a nonempty list'),
+        (["analyze"], '{"dim": 2, "vectors": [1]}', 2, "row 0 is not a list"),
+        (["analyze"], '{"dim": 2, "vectors": [[1, 0]], "labels": "a"}', 2, '"labels" must be a list'),
+        (["analyze"], '{"dim": 2, "vectors": [[1, 0]], "tolerances": 3}', 2, "must be an object"),
+        (["analyze"], "[1, 2]\n", 2, "structured frame file must be a JSON object"),
+        (["analyze"], "1 nan\n", 2, "contain NaN or Inf"),
+        (["catalog", "--m", "3", "--n", "4"], "", 2, "catalog needs m > n >= 2"),
+        (["construct", "simplex"], "", 1, "construct simplex requires --n"),
+    ],
+    ids=[
+        "no-dim", "empty-vectors", "row-not-a-list", "string-labels", "number-tolerances",
+        "json-array", "plain-nan", "catalog-m-not-above-n", "simplex-without-n",
+    ],
+)
+def test_rejected_input_is_one_error_line(monkeypatch, capsys, argv, stdin, code, message):
+    got, out, err = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+    assert (got, out) == (code, "")
+    assert message in err and err.count("\n") == 1 and "Traceback" not in err

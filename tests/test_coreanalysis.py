@@ -46,7 +46,7 @@ from framecore.coreanalysis import (
     _tangent_neighbors,
 )
 from framecore.errors import SearchFailed, ValidationError
-from framecore.frames import neighbors
+from framecore.frames import GramMatrix, neighbors
 from framecore.numerics import (
     DEFAULT_TOL,
     min_norm_point,
@@ -200,24 +200,26 @@ class TestClassifyEdgeCases:
         assert any("tolerance-sensitive" in w for w in v.warnings)
 
     def test_near_tie_warnings_match_loop_reference(self):
-        # the scalar loop _near_tie_warnings() replaced, kept as the reference
-        from framecore.coreanalysis import _near_tie_warnings
-
+        # the scalar loop the near-tie warnings once ran, kept as the
+        # reference for the near ties that neighbors() returns
         def reference(row, i, alpha, tol):
-            return [
-                f"|G[{i},{j}]| is within 2x neighbor_abs of the coherence; "
-                "classification is tolerance-sensitive here"
+            return tuple(
+                j
                 for j in range(row.size)
                 if j != i and tol.neighbor_abs < abs(abs(row[j]) - alpha) <= 2.0 * tol.neighbor_abs
-            ]
+            )
 
         rng = np.random.default_rng(9)
         alpha, tol = 0.3, DEFAULT_TOL
         gaps = tol.neighbor_abs * np.array([0.5, 1.0, 1.5, 2.0, 2.5, -1.5, -2.0, -3.0])
+        system = random_unit_system(np.random.default_rng(0), 12, 3)
         for _ in range(20):
             row = rng.choice((-1.0, 1.0), 12) * (alpha + rng.choice(gaps, 12))
             i = int(rng.integers(12))
-            assert _near_tie_warnings(row, i, alpha, tol) == reference(row, i, alpha, tol)
+            G = np.zeros((12, 12))
+            G[i] = row
+            nb = neighbors(system, i, alpha, tol, gram_matrix=GramMatrix(G, 1.0))
+            assert nb.near_ties == reference(row, i, alpha, tol)
 
 
 class TestIndeterminatePolicy:
@@ -241,7 +243,7 @@ class TestIndeterminatePolicy:
     def test_failed_constructive_validation_becomes_indeterminate(self, monkeypatch):
         from framecore import coreanalysis
 
-        def hopeless(others, x, witness, alpha, tol):
+        def hopeless(system, nb, witness):
             raise SearchFailed("forced for the test")
 
         monkeypatch.setattr(coreanalysis, "_perturb_search", hopeless)
@@ -267,6 +269,13 @@ class TestPerturbReplace:
         X = tripod_example(0.5)
         with pytest.raises(SearchFailed):
             perturb_replace(X, 0, np.array([1.0, 0.0, 0.0]))
+
+    def test_one_vector_system_is_returned_unchanged(self):
+        # coherence 0 gives a first step of 0, and no other row can block it
+        X = UnitVectorSystem.from_vectors([[0.6, 0.8, 0.0]])
+        xp = perturb_replace(X, 0, np.array([0.8, -0.6, 0.0]))
+        assert xp.tolist() == [0.6, 0.8, 0.0]
+        assert classify_vector(X, 0).status == NOT_ISOLABLE
 
 
 class TestIsolableSet:

@@ -133,6 +133,28 @@ class TestNeighbors:
                 assert all(type(x) is float for x in nb.signs)
 
 
+    def test_below_band_matches_loop_reference(self):
+        # the largest |G_ij| below the band, 0.0 when none (the first step
+        # of the perturbation search is read from it)
+        def reference(G, i, level, tol):
+            below = [
+                abs(G[i, j]) for j in range(G.shape[0])
+                if j != i and abs(G[i, j]) < level and abs(abs(G[i, j]) - level) > tol.neighbor_abs
+            ]
+            return max(below, default=0.0)
+
+        rng = np.random.default_rng(10)
+        level, tol = 0.4, frames.DEFAULT_TOL
+        offsets = tol.neighbor_abs * np.array([0.0, 0.5, 1.0, 1.5, -0.5, -1.0, -2.0, -300.0])
+        for _ in range(20):
+            m = int(rng.integers(1, 8))
+            G = rng.choice((-1.0, 1.0), (m, m)) * (level + rng.choice(offsets, (m, m)))
+            system = random_unit_system(rng, m, 3)
+            for i in range(m):
+                nb = neighbors(system, i, level, tol, gram_matrix=frames.GramMatrix(G, 1.0))
+                assert nb.below_band == reference(G, i, level, tol)
+
+
 class TestFrameOperator:
     def test_orthonormal_basis(self):
         S = frame_operator(UnitVectorSystem.from_vectors(np.eye(5)))

@@ -18,7 +18,7 @@ FIELDS = {
     "SpectralData": ("eigenvalues", "eigenvectors"),
     "ConeResult": ("feasible", "weights", "certificate", "residual_norm"),
     "GramMatrix": ("entries", "coherence"),
-    "NeighborSet": ("owner", "level", "indices", "signs"),
+    "NeighborSet": ("owner", "level", "indices", "signs", "near_ties", "below_band"),
     "TightnessVerdict": ("tight", "parseval", "bound", "deviation"),
     "BoundsCard": (
         "m", "n", "coherence", "welch", "orthoplex", "gerzon_max_m", "meets_welch",
