@@ -87,7 +87,7 @@ def _register_lazily(names) -> None:
 
 # ``cli`` stays a plain module: ``python -m framecore.cli`` warns when the
 # module it runs is already in ``sys.modules``.
-_register_lazily((*_HOMES, "errors"))
+_register_lazily((*_HOMES, "errors", "text"))
 
 
 def __getattr__(name: str):

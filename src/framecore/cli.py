@@ -3,23 +3,27 @@
 Commands: analyze, core, classify, naimark, double, construct, catalog,
 check.  Frame files are read from a path argument or stdin ("-"), and
 ``construct``/``naimark``/``double`` write the same structured format that
-the other commands read, so shell pipelines compose.  Exit codes: 0
-success, 1 usage, 2 parse/validation or an input too large to allocate,
-3 numerical failure, 4 check-suite failure.
+the other commands read, so shell pipelines compose.  A flag's value
+follows it or an "=", its last occurrence wins, "--" ends the flags, and
+abbreviations are usage errors.  Exit codes: 0 success, 1 usage, 2
+parse/validation or an input too large to allocate, 3 numerical
+failure, 4 check-suite failure.
 
 This module is only the shell (arguments, input, output and exit codes):
-``report`` builds and renders what each analysis command prints.
+``_parse_args`` reads argv through ``_COMMANDS``, ``report`` builds what
+each analysis command prints and ``text`` renders its text views.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+import types
 
 # The package executes a submodule on its first attribute access: the analysis
 # commands never execute ``constructions``, nor the transforms the analysis.
-from . import constructions, report
+from . import constructions, report, text
 from .errors import NumericalError, ValidationError
 from .frames import UnitVectorSystem, gram, tightness
 from .frameio import emit_json, parse_frame_with_overrides, round15, write_frame
@@ -36,62 +40,83 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 on usage problems, not argparse's 2
-        raise _UsageError(message)
+def _is_flag(token: str) -> bool:
+    """Whether ``token`` is a flag: it starts with "-" and is not "-" (stdin) or a negative number."""
+    return token[:1] == "-" and token != "-" and not re.match(r"^-\d+$|^-\d*\.\d+$", token)
 
 
-def _build_parser() -> _Parser:
-    # Each command gets only the options it reads.
-    tols = argparse.ArgumentParser(add_help=False)
-    tols.add_argument("--tol-eq", type=float, default=None, help="absolute equality tolerance")
-    tols.add_argument(
-        "--tol-neighbor", type=float, default=None, help="neighbor membership tolerance"
-    )
-    tols.add_argument(
-        "--tol-hull", type=float, default=None, help="zero threshold for hull points"
-    )
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format"
-    )
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=None, help="write output to this path")
-    analysis, transform = [tols, fmt, out], [tols, out]
+def _convert(name: str, convert, value: str):
+    """``convert(value)``, where a tuple ``convert`` lists the choices ``value`` must be one of."""
+    if isinstance(convert, tuple) and value not in convert:
+        choices = ", ".join(map(repr, convert))
+        raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    try:
+        return value if isinstance(convert, tuple) else convert(value)
+    except ValueError:
+        raise _UsageError(f"argument {name}: invalid {convert.__name__} value: {value!r}") from None
 
-    # --help shows the docstring without its last paragraph, which is about the code.
-    parser = _Parser(prog="framecore", description=__doc__.rsplit("\n\n", 1)[0])
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=analysis, help="full analysis report")
-    p.add_argument("file", nargs="?", default="-")
-    p = sub.add_parser("core", parents=analysis, help="core extraction trace")
-    p.add_argument("file", nargs="?", default="-")
-    p = sub.add_parser("classify", parents=analysis, help="per-vector verdicts")
-    p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--index", type=int, default=None, help="classify only this vector")
-    p = sub.add_parser("naimark", parents=transform, help="complementary system")
-    p.add_argument("file", nargs="?", default="-")
-    p = sub.add_parser("double", parents=transform, help="doubled system in R^{2n}")
-    p.add_argument("file", nargs="?", default="-")
-    p = sub.add_parser("construct", parents=[out], help="emit a catalog frame")
-    p.add_argument(
-        "name", choices=("circular", "six_in_r4", "mub_r2", "simplex"), help="construction"
-    )
-    p.add_argument("--m", type=int, default=None, help="vector count (circular)")
-    p.add_argument("--n", type=int, default=None, help="dimension (simplex)")
-    p = sub.add_parser("catalog", parents=[fmt, out], help="exactly known packing angles")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p = sub.add_parser("check", parents=analysis, help="invariant suite for one file")
-    p.add_argument("file", nargs="?", default="-")
-    return parser
+def _help(command=None) -> str:
+    """The --help text of ``command``, or of the program, read from ``_COMMANDS``."""
+    if command is None:
+        rows = "".join(f"  {name:<10} {entry[1]}\n" for name, entry in _COMMANDS.items())
+        about = __doc__.rsplit("\n\n", 1)[0]  # the last paragraph is about the code
+        return f"usage: framecore <command> [-h] ...\n\n{about}\n\ncommands:\n{rows}"
+    words = []
+    for name, (convert, default) in _COMMANDS[command][2].items():
+        value = "{%s}" % ",".join(convert) if isinstance(convert, tuple) else name.lstrip("-").upper()
+        word = value if name[0] != "-" else f"{name} {value}"
+        words.append(word if default is ... else f"[{word}]")
+    return f"usage: framecore {command} [-h] {' '.join(words)}\n\n{_COMMANDS[command][1]}\n"
+
+
+def _parse_args(argv: list[str]):
+    """Read ``argv`` through ``_COMMANDS``: the arguments as attributes, or the help text."""
+    start = next((i for i, t in enumerate(argv) if t == "--" or not _is_flag(t)), len(argv))
+    if any(t in ("-h", "--help") for t in argv[:start]):
+        return _help()
+    if start == len(argv):
+        raise _UsageError("the following arguments are required: command")
+    command, extras = _convert("command", tuple(_COMMANDS), argv[start]), argv[:start]
+    spec = _COMMANDS[command][2]
+    args = {name: default for name, (_, default) in spec.items()}
+    positional = next((name for name in spec if name[0] != "-"), None)
+    ended, tokens = False, iter(argv[start + 1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if token == "--" and not ended:
+            ended = True
+        elif ended or not _is_flag(token):
+            if positional:
+                args[positional] = _convert(positional, spec[positional][0], token)
+            else:
+                extras.append(token)
+            positional = None
+        elif token in ("-h", "--help"):
+            return _help(command)
+        elif name not in spec:
+            extras.append(token)
+        else:
+            if not eq:
+                value = next(tokens, "--")
+                if value == "--" or _is_flag(value):
+                    raise _UsageError(f"argument {name}: expected one argument")
+            args[name] = _convert(name, spec[name][0], value)
+    missing = [name for name, value in args.items() if value is ...]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    dests = (name.lstrip("-").replace("-", "_") for name in args)
+    return types.SimpleNamespace(command=command, **dict(zip(dests, args.values())))
 
 
 def _read_source(path: str) -> str:
     """The frame text: bytes decoded as strict UTF-8, or a text-only stdin as it reads."""
     try:
         if path == "-":
+            if sys.stdin is None:  # file descriptor 0 was closed at start-up
+                raise OSError("file descriptor 0 is closed")
             raw = getattr(sys.stdin, "buffer", None)
             return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
@@ -119,20 +144,21 @@ def _write(args, write) -> None:
         write(sys.stdout)
 
 
-def _emit(args, payload: dict, text_renderer) -> None:
-    text = report.emit_report(payload) if args.format == "json" else text_renderer(payload)
-    _write(args, lambda out: out.write(text))
+def _emit(args, payload: dict, view: str) -> None:
+    """Write the payload as JSON, or as the ``text`` module's view named ``view``."""
+    rendered = report.emit_report(payload) if args.format == "json" else getattr(text, view)(payload)
+    _write(args, lambda out: out.write(rendered))
 
 
 def _cmd_analyze(args) -> int:
     system, tol = _load(args)
-    _emit(args, report.build_analysis_report(system, tol), report.render_text)
+    _emit(args, report.build_analysis_report(system, tol), "render_text")
     return EXIT_OK
 
 
 def _cmd_core(args) -> int:
     system, tol = _load(args)
-    _emit(args, report.build_core_report(system, tol), report.render_core_text)
+    _emit(args, report.build_core_report(system, tol), "render_core_text")
     return EXIT_OK
 
 
@@ -141,7 +167,7 @@ def _cmd_classify(args) -> int:
     if args.index is not None and not 0 <= args.index < system.size:
         raise ValidationError(f"--index {args.index} out of range for {system.size} vectors")
     payload = report.build_classify_report(system, tol, args.index)
-    _emit(args, payload, report.render_classify_text)
+    _emit(args, payload, "render_classify_text")
     return EXIT_OK
 
 
@@ -215,28 +241,40 @@ def _cmd_catalog(args) -> int:
 def _cmd_check(args) -> int:
     system, tol = _load(args)
     payload = report.build_check_report(system, tol)
-    _emit(args, payload, report.render_check_text)
+    _emit(args, payload, "render_check_text")
     return EXIT_CHECK_FAILED if payload["failed"] else EXIT_OK
 
 
+_TOLERANCES = {"--tol-eq": (float, None), "--tol-neighbor": (float, None), "--tol-hull": (float, None)}
+_TRANSFORM = {"file": (str, "-"), **_TOLERANCES, "--out": (str, None)}
+_FORMAT = {"--format": (("json", "text"), "json")}
+_ANALYSIS = {**_TRANSFORM, **_FORMAT}
+
+# command -> (handler, help line, {argument: (converter, default)}).  A tuple converter
+# lists the choices, a default of ... marks a required argument, and the one
+# argument without dashes is positional.
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "core": _cmd_core,
-    "classify": _cmd_classify,
-    "naimark": _cmd_naimark,
-    "double": _cmd_double,
-    "construct": _cmd_construct,
-    "catalog": _cmd_catalog,
-    "check": _cmd_check,
+    "analyze": (_cmd_analyze, "full analysis report", _ANALYSIS),
+    "core": (_cmd_core, "core extraction trace", _ANALYSIS),
+    "classify": (_cmd_classify, "per-vector verdicts", {**_ANALYSIS, "--index": (int, None)}),
+    "naimark": (_cmd_naimark, "complementary system", _TRANSFORM),
+    "double": (_cmd_double, "doubled system in R^{2n}", _TRANSFORM),
+    "construct": (_cmd_construct, "emit a catalog frame", {
+        "name": (("circular", "six_in_r4", "mub_r2", "simplex"), ...),
+        "--m": (int, None), "--n": (int, None), "--out": (str, None)}),
+    "catalog": (_cmd_catalog, "exactly known packing angles",
+                {"--m": (int, ...), "--n": (int, ...), **_FORMAT, "--out": (str, None)}),
+    "check": (_cmd_check, "invariant suite for one file", _ANALYSIS),
 }
 
 
 def run(argv=None) -> int:
     """Parse arguments and execute one command; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = _COMMANDS[args.command](args)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(args, str):  # the --help text
+            sys.stdout.write(args)
+        code = EXIT_OK if isinstance(args, str) else _COMMANDS[args.command][0](args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter shutdown
         return code
     except _UsageError as exc:

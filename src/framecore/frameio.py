@@ -2,11 +2,11 @@
 
 Two formats are accepted.  The structured format is a JSON object
 ``{"dim": n, "vectors": [[...], ...], "labels": [...]?, "tolerances":
-{...}?}``; the plain format is whitespace-separated reals, one vector per
-line, with ``#`` comments.  Vectors are stored one per row in both
-formats, even though the literature prints frames as column matrices.
-Rows within 1e-6 of unit norm are renormalized with a warning; anything
-farther off is rejected.
+{...}?}``; the plain format is whitespace-separated ASCII decimals
+without ``_``, one vector per line, with ``#`` comments.  Both store
+vectors one per row, though the literature prints frames as column
+matrices.  Rows within 1e-6 of unit norm are renormalized with a
+warning; anything farther off is rejected.
 """
 
 from __future__ import annotations
@@ -35,22 +35,12 @@ def parse_frame(text: str) -> UnitVectorSystem:
 def parse_frame_with_overrides(text: str) -> tuple[UnitVectorSystem, dict]:
     """Like :func:`parse_frame` but also returns tolerance overrides; ignores a leading BOM."""
     text = text.removeprefix("\ufeff")
-    stripped = _strip_comments(text)
+    stripped = "\n".join(line.partition("#")[0] for line in text.splitlines())
     if not stripped.strip():
         raise ParseError("empty frame file")
     if stripped.lstrip()[0] in "{[":  # no plain-format row starts with "["
         return _parse_structured(text)
     return _parse_plain(stripped), {}
-
-
-def _strip_comments(text: str) -> str:
-    lines = []
-    for line in text.splitlines():
-        hash_pos = line.find("#")
-        if hash_pos >= 0:
-            line = line[:hash_pos]
-        lines.append(line)
-    return "\n".join(lines)
 
 
 def _parse_plain(text: str) -> UnitVectorSystem:
@@ -60,6 +50,9 @@ def _parse_plain(text: str) -> UnitVectorSystem:
         if not parts:
             continue
         try:
+            if not "".join(parts).isascii() or "_" in line:  # float() reads "1_0" and "\u0661"
+                bad = next(p for p in parts if not p.isascii() or "_" in p)
+                raise ValueError(f"{bad!r} is not an ASCII decimal number")
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
@@ -68,9 +61,7 @@ def _parse_plain(text: str) -> UnitVectorSystem:
     width = len(rows[0])
     for idx, row in enumerate(rows):
         if len(row) != width:
-            raise ShapeError(
-                f"row {idx} has {len(row)} entries, expected {width} (ragged rows)"
-            )
+            raise ShapeError(f"row {idx} has {len(row)} entries, expected {width} (ragged rows)")
     return UnitVectorSystem.from_vectors(np.array(rows))
 
 
@@ -84,7 +75,7 @@ def _number(value) -> float:
 def _parse_structured(text: str) -> tuple[UnitVectorSystem, dict]:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("structured frame file must be a JSON object")

@@ -1,4 +1,4 @@
-"""Analysis report assembly and rendering: every view an analysis command prints.
+"""Analysis report assembly: the payload of every analysis command.
 
 ``analysis`` decides the facts that ``analyze`` and ``check`` share once
 per system; ``build_analysis_report`` and ``build_check_report`` render
@@ -6,10 +6,9 @@ them, each next to the few facts only its command reads, and
 ``build_core_report`` and ``build_classify_report`` give the core trace
 and the per-vector verdicts of ``core`` and ``classify``, all as plain
 dicts with a fixed key order.  ``emit_report`` renders a dict as JSON (15
-significant digits, byte-stable across runs); ``render_text``,
-``render_core_text``, ``render_classify_text`` and ``render_check_text``
-give the human-readable views.  Every decided quantity carries the
-tolerance it was decided under so a reader can reproduce the verdict.
+significant digits, byte-stable across runs); the ``text`` module holds
+the human-readable views.  Every decided quantity carries the tolerance
+it was decided under so a reader can reproduce the verdict.
 """
 
 from __future__ import annotations
@@ -307,118 +306,5 @@ def build_classify_report(system: UnitVectorSystem, tol: Tolerances, index=None)
 
 
 def emit_report(report: dict) -> str:
-    """Render a report dict as stable JSON (``render_text`` gives the text view)."""
+    """Render a report dict as stable JSON; the ``text`` module renders the text views."""
     return emit_json(report)
-
-
-def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return "yes" if v else "no"
-    if v is None:
-        return "-"
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return str(v)
-
-
-def _verdict_lines(v: dict, indent: str) -> list[str]:
-    """One verdict's status line, then its warnings indented four more spaces."""
-    head = (f"{indent}[{v['index']}] {v['status']} "
-            f"(neighbors={v['neighbor_count']}, neighbor_rank={v['neighbor_rank']})")
-    return [head, *(f"{indent}    warning: {w}" for w in v["warnings"])]
-
-
-def render_text(report: dict) -> str:
-    """Human-readable rendering of an analysis report.
-
-    Summary lines for each block of the report and one line per vector
-    verdict (status, neighbor count and rank); neighbor lists, witnesses
-    and certificates are left to the JSON report.  The core trace's
-    warnings follow its levels, except those the report's own warnings
-    already list.
-    """
-    lines = []
-    inp = report["input"]
-    lines.append(f"system: {inp['m']} unit vectors in R^{inp['n']}")
-    lines.append(f"coherence: {_fmt_value(report['coherence'])}")
-    b = report["bounds"]
-    lines.append(
-        "bounds: welch=" + _fmt_value(b["welch"])
-        + " orthoplex=" + _fmt_value(b["orthoplex"])
-        + " gerzon_max_m=" + _fmt_value(b["gerzon_max_m"])
-        + " meets_welch=" + _fmt_value(b["meets_welch"])
-    )
-    t = report["tightness"]
-    lines.append(
-        f"tightness: {t['kind']} (bound={_fmt_value(t['bound'])}, "
-        f"max deviation={_fmt_value(t['max_deviation'])})"
-    )
-    e = report["equiangular"]
-    lines.append(
-        f"equiangular: {_fmt_value(e['equiangular'])} (angle={_fmt_value(e['angle'])})"
-    )
-    lines.append(f"etf: {_fmt_value(report['etf'])}")
-    s = report["spectrum"]
-    eigs = " ".join(_fmt_value(x) for x in s["eigenvalues"])
-    lines.append(f"spectrum: [{eigs}] top multiplicity {s['top_multiplicity']}")
-    lines.append("vectors:")
-    for v in report["vectors"]:
-        lines += _verdict_lines(v, "  ")
-    c = report["core"]
-    lines.append("core trace:")
-    for k, level in enumerate(c["levels"]):
-        lines.append(
-            f"  level {k}: members={level['members']} removed={level['removed']} "
-            f"coherence={_fmt_value(level['coherence'])}"
-        )
-    for w in c["warnings"]:
-        if w not in report["warnings"]:
-            lines.append(f"  warning: {w}")
-    lines.append(f"core: {c['core']}")
-    lines.append("diagnostics:")
-    d = report["diagnostics"]
-    lines.append(
-        f"  drop_one_spanning: {d['drop_one_spanning']['status']} "
-        f"({d['drop_one_spanning']['detail']})"
-    )
-    nc = d["neighbor_counts"]
-    lines.append(f"  neighbor_counts at {_fmt_value(nc['level'])}: {nc['counts']}")
-    for chk in nc["checks"]:
-        lines.append(f"      {chk['name']}: {chk['status']} ({chk['detail']})")
-    lines.append(
-        f"  eigen_span: {d['eigen_span']['status']} ({d['eigen_span']['detail']})"
-    )
-    tg = d["tight_grassmannian"]
-    lines.append(f"  tight_grassmannian: {tg['status']} ({tg['detail']})")
-    for chk in d["core_validation"]["checks"]:
-        lines.append(f"  core_validation {chk['name']}: {chk['status']} ({chk['detail']})")
-    if report["warnings"]:
-        lines.append("warnings:")
-        for w in report["warnings"]:
-            lines.append(f"  {w}")
-    return "\n".join(lines) + "\n"
-
-
-def render_core_text(report: dict) -> str:
-    """One line per level of the core trace, the core, then the trace's warnings."""
-    lines = [
-        f"level {k}: members={level['members']} removed={level['removed']} "
-        f"coherence={level['coherence']}"
-        for k, level in enumerate(report["levels"])
-    ]
-    lines.append(f"core: {report['core']}")
-    lines += [f"warning: {w}" for w in report["warnings"]]
-    return "\n".join(lines) + "\n"
-
-
-def render_classify_text(report: dict) -> str:
-    """One line per verdict (status, neighbor count and rank), each followed by its warnings."""
-    lines = [line for v in report["verdicts"] for line in _verdict_lines(v, "")]
-    return "\n".join(lines) + "\n"
-
-
-def render_check_text(report: dict) -> str:
-    """One line per check, then the failure count."""
-    lines = [f"{c['name']}: {c['status']} ({c['detail']})" for c in report["checks"]]
-    lines.append(f"failed: {report['failed']}")
-    return "\n".join(lines) + "\n"

@@ -1,9 +1,12 @@
 """Tests for file formats, the command surface, and report emission."""
 
+import argparse
+import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,12 +28,14 @@ from framecore import (
     simplex_etf,
     six_in_r4,
 )
+from framecore import cli
 from framecore.cli import run
 from framecore.coreanalysis import EIGEN_SPAN_ABS
 from framecore.errors import NormError, ParseError, ShapeError
 from framecore.frameio import parse_frame_with_overrides, round15
 from framecore.frames import WELCH_EQ_ABS
-from framecore.report import build_check_report, render_text
+from framecore.report import build_check_report
+from framecore.text import render_text
 from helpers import (
     basis_plus_diagonal,
     near_tie,
@@ -852,3 +857,287 @@ def test_rejected_input_is_one_error_line(monkeypatch, capsys, argv, stdin, code
     got, out, err = run_cli(monkeypatch, capsys, argv, stdin=stdin)
     assert (got, out) == (code, "")
     assert message in err and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_stdin_closed_at_start_up_exits_2_with_one_error_line():
+    # With file descriptor 0 closed, Python sets sys.stdin to None.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        ["sh", "-c", '"$0" -m framecore core <&-', sys.executable],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr == "error: cannot read stdin: file descriptor 0 is closed\n"
+
+
+@pytest.mark.parametrize(
+    "stdin",
+    ["[" * 3000, '{"dim": 1, "vectors": ' + "[" * 3000 + "]" * 3000 + "}"],
+    ids=["array", "vectors"],
+)
+def test_deeply_nested_json_is_one_error_line(monkeypatch, capsys, stdin):
+    code, out, err = run_cli(monkeypatch, capsys, ["core"], stdin=stdin)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "stdin, line, token",
+    [
+        ("1 0\n0 1_0\n", 2, "'1_0'"),
+        ("\u0661 0\n0 1\n", 1, "'\u0661'"),
+        ("1 0\n0 \uff11\n", 2, "'\uff11'"),
+    ],
+    ids=["underscore", "arabic-indic-digit", "fullwidth-digit"],
+)
+def test_plain_numbers_are_ascii_decimals_without_underscores(monkeypatch, capsys, stdin, line, token):
+    # float() reads all three tokens; the plain format does not.
+    code, out, err = run_cli(monkeypatch, capsys, ["core"], stdin=stdin)
+    assert (code, out) == (2, "")
+    assert err == f"error: line {line}: {token} is not an ASCII decimal number\n"
+
+
+def test_plain_numbers_may_be_separated_by_any_whitespace(monkeypatch, capsys):
+    # A no-break space and an em space split numbers, as str.split() does.
+    code, out, _ = run_cli(monkeypatch, capsys, ["core"], stdin="1\u00a00\n0\u20031\n")
+    assert code == 0 and json.loads(out)["core"] == [0, 1]
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--help", "analyze"], ["-x", "-h"]])
+    def test_program_help_names_every_command(self, monkeypatch, capsys, argv):
+        code, out, err = run_cli(monkeypatch, capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: framecore <command>")
+        for command in cli._COMMANDS:
+            assert f"\n  {command} " in out
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_command_help_names_every_flag(self, monkeypatch, capsys, command):
+        positional = "circular" if command == "construct" else "frame.txt"
+        for argv in ([command, "-h"], [command, positional, "--help"]):
+            code, out, err = run_cli(monkeypatch, capsys, argv)
+            assert (code, err) == (0, "")
+            assert out.startswith(f"usage: framecore {command} [-h] ")
+            flags = [name for name in cli._COMMANDS[command][2] if name.startswith("--")]
+            assert all(f"{flag} " in out for flag in flags)
+
+    def test_help_after_the_flags_end_is_a_file(self, monkeypatch, capsys):
+        code, _, err = run_cli(monkeypatch, capsys, ["core", "--", "-h"])
+        assert code == 2 and err.startswith("error: cannot read -h:")
+
+
+class TestArgv:
+    """The command table reads argv as argparse read it, except where listed."""
+
+    @pytest.mark.parametrize(
+        "argv, attrs",
+        [
+            (["core", "--format=text", "--format", "json"], {"format": "json"}),
+            (["core", "--out=", "--tol-eq=1e-3"], {"out": "", "tol_eq": 1e-3}),
+            (["core", "--out=a=b c"], {"out": "a=b c"}),
+            (["core", "--", "-x"], {"file": "-x"}),
+            (["core", "-1"], {"file": "-1"}),
+            (["classify", "--index", "-2"], {"index": -2}),
+            (["catalog", "--n", "4", "--m=6"], {"m": 6, "n": 4, "format": "json"}),
+            (["construct", "--m", "3", "circular"], {"name": "circular", "m": 3, "n": None}),
+        ],
+    )
+    def test_accepted(self, argv, attrs):
+        args = vars(cli._parse_args(argv))
+        assert {key: args[key] for key in attrs} == attrs
+        assert args == vars(_reference_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["--", "core"], "argument command: invalid choice: '--'"),
+            (["--", "-h"], "argument command: invalid choice: '--'"),
+            (["core", "--format", "xml"], "argument --format: invalid choice: 'xml' (choose from 'json', 'text')"),
+            (["core", "--tol-eq", "abc"], "argument --tol-eq: invalid float value: 'abc'"),
+            (["core", "--tol-eq"], "argument --tol-eq: expected one argument"),
+            (["core", "--out", "-x"], "argument --out: expected one argument"),
+            (["core", "--tol-eq", "-1e-3"], "argument --tol-eq: expected one argument"),
+            (["core", "a", "b", "--bogus=1"], "unrecognized arguments: b --bogus=1"),
+            (["core", "--form", "text"], "unrecognized arguments: --form"),
+            (["catalog", "--m", "6"], "the following arguments are required: --n"),
+            (["construct"], "the following arguments are required: name"),
+        ],
+    )
+    def test_rejected(self, monkeypatch, capsys, argv, message):
+        code, out, err = run_cli(monkeypatch, capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
+
+
+# The argparse parser that the command table replaced, kept as the reference
+# that the table's reading of argv is compared with.
+class _ReferenceUsageError(Exception):
+    pass
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ReferenceUsageError(message)
+
+
+def _reference_parser() -> _ReferenceParser:
+    tols = argparse.ArgumentParser(add_help=False)
+    tols.add_argument("--tol-eq", type=float, default=None)
+    tols.add_argument("--tol-neighbor", type=float, default=None)
+    tols.add_argument("--tol-hull", type=float, default=None)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="json")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    analysis, transform = [tols, fmt, out], [tols, out]
+    parser = _ReferenceParser(prog="framecore")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("analyze", "core", "classify", "check"):
+        p = sub.add_parser(name, parents=analysis)
+        p.add_argument("file", nargs="?", default="-")
+        if name == "classify":
+            p.add_argument("--index", type=int, default=None)
+    for name in ("naimark", "double"):
+        sub.add_parser(name, parents=transform).add_argument("file", nargs="?", default="-")
+    p = sub.add_parser("construct", parents=[out])
+    p.add_argument("name", choices=("circular", "six_in_r4", "mub_r2", "simplex"))
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n", type=int, default=None)
+    p = sub.add_parser("catalog", parents=[fmt, out])
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    return parser
+
+
+def _reference_reading(argv):
+    """("ok", attributes), ("help",) or ("usage",) as argparse read ``argv``."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return ("ok", vars(_reference_parser().parse_args(argv)))
+    except _ReferenceUsageError:
+        return ("usage",)
+    except SystemExit as exc:
+        assert exc.code == 0
+        return ("help",)
+
+
+def _table_reading(argv):
+    try:
+        args = cli._parse_args(argv)
+    except cli._UsageError:
+        return ("usage",)
+    return ("help",) if isinstance(args, str) else ("ok", vars(args))
+
+
+_FLAGS = ("--tol-eq", "--tol-neighbor", "--tol-hull", "--format", "--out", "--index", "--m", "--n")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _listed_disagreement(argv) -> bool:
+    """Whether ``argv`` holds a token on which the table and argparse knowingly differ.
+
+    - A prefix of a flag (``--form``, ``--he``): argparse expands a unique
+      one; the table reads it as an unknown flag.
+    - "--" right after a flag that takes a value: argparse 3.11 skips it and
+      takes the next token as the value; the table reports "expected one argument".
+    - A token that starts with "-", holds a space and is no negative number:
+      argparse reads it as a value or the file; the table as an unknown flag.
+    """
+    for token, after in zip(argv, [*argv[1:], None]):
+        name = token.partition("=")[0]
+        if name.startswith("--") and any(f != name and f.startswith(name) for f in (*_FLAGS, "--help")):
+            return True
+        if token in _FLAGS and after == "--":
+            return True
+        if token.startswith("-") and " " in token and not _NEGATIVE_NUMBER.match(token):
+            return True
+    return False
+
+
+_ANALYSIS_FLAGS = ("--tol-eq", "--tol-neighbor", "--tol-hull", "--format", "--out")
+_OWN_FLAGS = {  # the flags argparse gave each command
+    **dict.fromkeys(("analyze", "core", "check"), _ANALYSIS_FLAGS),
+    "classify": (*_ANALYSIS_FLAGS, "--index"),
+    **dict.fromkeys(("naimark", "double"), ("--tol-eq", "--tol-neighbor", "--tol-hull", "--out")),
+    "construct": ("--m", "--n", "--out"),
+    "catalog": ("--m", "--n", "--format", "--out"),
+}
+
+
+def _argv_strategy(st, numbers):
+    """Argv drawn from command names, flags (mostly the command's own) in both
+    spellings with values of their kind, ``numbers`` (negative ones included),
+    "-", "--", paths and junk tokens."""
+    junk = st.one_of(
+        st.sampled_from(["-", "--", "-h", "--help", "-x", "-x y", "-1e-3", "-.5", "1_0", "", "=", "a=b"]),
+        st.text(alphabet="-=.a1 _h", max_size=5),
+        st.floats().map(repr),
+    )
+    paths = st.sampled_from(["frame.txt", "out dir/f.json", "-", "-5", "a=b"])
+    kinds = {
+        "--format": st.sampled_from(["json", "text", "json", "text", "xml"]),
+        "--out": paths,
+        **dict.fromkeys(("--tol-eq", "--tol-neighbor", "--tol-hull"), st.one_of(numbers, st.floats().map(repr))),
+    }
+    any_flag = st.sampled_from([*_FLAGS, "-h", "--help", "--form", "--tol", "--in", "--bogus"])
+
+    def spelled(flags):
+        return st.tuples(flags, st.integers(0, 9), st.booleans()).flatmap(
+            lambda t: (junk if t[1] == 0 else kinds.get(t[0], numbers)).map(
+                lambda v: [f"{t[0]}={v}"] if t[2] else [t[0], v]
+            )
+        )
+
+    def after(command):
+        own = spelled(st.sampled_from(_OWN_FLAGS.get(command, _FLAGS)))
+        positional = st.sampled_from(["circular", "six_in_r4", "simplex", "bogus"]) if command == "construct" else paths
+        other = st.one_of(
+            positional.map(lambda v: [v]), spelled(any_flag), any_flag.map(lambda f: [f]),
+            st.one_of(numbers, junk).map(lambda v: [v]),
+        )
+        group = st.integers(0, 3).flatmap(lambda i: other if i == 0 else own)
+        sizes = st.sampled_from([[], ["--m", "6", "--n", "4"]] if command == "catalog" else [[]])
+        return st.tuples(sizes, st.lists(group, max_size=4)).map(
+            lambda t: [command, *t[0], *(token for g in t[1] for token in g)]
+        )
+
+    commands = st.sampled_from(sorted(_OWN_FLAGS))
+    before = st.sampled_from([[], [], [], [], ["-h"], ["--"], ["-x"], ["-1"]])
+    command = st.integers(0, 9).flatmap(lambda i: junk if i == 0 else commands)
+    return st.tuples(before, command.flatmap(after)).map(
+        lambda t: [*t[0], *t[1]]
+    )
+
+
+def test_table_reads_argv_as_argparse_did(monkeypatch, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(_argv_strategy(st, st.integers(-10**6, 10**6).map(str)))
+    def check(argv):
+        reference, table = _reference_reading(argv), _table_reading(argv)
+        if reference != table:
+            assert _listed_disagreement(argv), (argv, reference, table)
+        elif reference == ("usage",):
+            code, out, err = run_cli(monkeypatch, capsys, argv)
+            assert (code, out) == (1, "") and err.startswith("usage error: ") and err.count("\n") == 1
+
+    check()
+
+
+def test_run_never_raises_on_drawn_argv(monkeypatch, capsys, tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.chdir(tmp_path)  # drawn --out paths land here
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(_argv_strategy(st, st.integers(-3, 9).map(str)))
+    def check(argv):
+        code, _, _ = run_cli(monkeypatch, capsys, argv, stdin="1 0\n0 1\n")
+        assert code in (0, 1, 2, 3, 4)
+
+    check()

@@ -19,10 +19,12 @@ SUBMODULES = sorted(
 )
 
 # Imports the CLI in a fresh interpreter, runs one command and reports which
-# framecore modules are registered and which have executed, and whether
-# ``dataclasses`` is loaded.  A module whose execution LazyLoader defers
-# keeps a ModuleType subclass until its first attribute access runs it.
+# framecore modules are registered and which have executed, whether
+# ``dataclasses`` is loaded, and which of the argument-parsing modules.  A
+# module whose execution LazyLoader defers keeps a ModuleType subclass until
+# its first attribute access runs it.
 PROBE_IMPORTS = "import contextlib, io, json, sys, types"
+PARSING = ("argparse", "gettext", "locale")
 PROBE = PROBE_IMPORTS + """
 import framecore.cli
 registered = sorted(k for k in sys.modules if k.startswith("framecore."))
@@ -34,8 +36,9 @@ executed = sorted(
 print(json.dumps({
     "code": code, "registered": registered, "executed": executed,
     "dataclasses": "dataclasses" in sys.modules,
+    "parsing": [m for m in %r if m in sys.modules],
 }))
-"""
+""" % (PARSING,)
 
 ANALYSIS = ("analyze", "core", "classify", "check")
 TRANSFORMS = ("naimark", "double")
@@ -55,12 +58,11 @@ def frame_path(tmp_path_factory):
     return str(path)
 
 
-COMMANDS = pytest.mark.parametrize(
-    "argv",
-    [[c] for c in ANALYSIS + TRANSFORMS]
-    + [["construct", "six_in_r4"], ["catalog", "--m", "6", "--n", "4"]],
-    ids=lambda argv: argv[0],
-)
+EVERY_COMMAND = [[c] for c in ANALYSIS + TRANSFORMS] + [
+    ["construct", "six_in_r4"], ["catalog", "--m", "6", "--n", "4"]
+]
+COMMANDS = pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+HELP = [["--help"], ["analyze", "--help"], ["catalog", "-h"]]
 
 
 @pytest.fixture(scope="module")
@@ -88,12 +90,23 @@ def test_each_command_executes_only_the_modules_it_runs(argv, probe):
     assert probe["registered"] == [f"framecore.{m}" for m in SUBMODULES]
     executed = {name.removeprefix("framecore.") for name in probe["executed"]}
     assert {"cli", "errors", "frameio", "frames", "numerics"} <= executed
+    # The default JSON output never executes the text views.
+    assert "text" not in executed
     if argv[0] in ANALYSIS:
         assert "constructions" not in executed
         assert {"coreanalysis", "report"} <= executed
     else:
         assert not executed & {"coreanalysis", "report"}
         assert "constructions" in executed
+
+
+@pytest.mark.parametrize("command", ANALYSIS)
+def test_text_format_executes_the_text_views(command, probe):
+    probe = probe([command, "--format", "text"])
+    assert probe["code"] == 0
+    executed = {name.removeprefix("framecore.") for name in probe["executed"]}
+    assert {"report", "text"} <= executed
+    assert "constructions" not in executed
 
 
 def test_the_package_registers_its_submodules_and_executes_only_those_used():
@@ -117,15 +130,23 @@ print(json.dumps([registered, at_import, executed()]))
     # Reading one public name executes its home module and the modules that
     # home imports, and no other.
     assert {"coreanalysis", "errors", "frames", "numerics"} <= set(after_core)
-    assert not set(after_core) & {"constructions", "report"}
+    assert not set(after_core) & {"constructions", "report", "text"}
 
 
 @pytest.fixture(scope="module")
-def numpy_loads_dataclasses():
-    """Whether a child with only the probe's own imports and numpy holds ``dataclasses``."""
-    done = _child(["-c", PROBE_IMPORTS + '; import numpy; print(json.dumps("dataclasses" in sys.modules))'])
+def numpy_loads():
+    """The modules that a child with only the probe's own imports and numpy holds,
+    of ``dataclasses`` and the argument-parsing modules."""
+    names = ("dataclasses", *PARSING)
+    code = PROBE_IMPORTS + f"; import numpy; print(json.dumps([m for m in {names!r} if m in sys.modules]))"
+    done = _child(["-c", code])
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
+    return set(json.loads(done.stdout))
+
+
+@pytest.fixture(scope="module")
+def numpy_loads_dataclasses(numpy_loads):
+    return "dataclasses" in numpy_loads
 
 
 @COMMANDS
@@ -135,6 +156,15 @@ def test_no_command_loads_dataclasses(argv, probe, numpy_loads_dataclasses):
     # NamedTuples.  A numpy that imports dataclasses itself does not fail this.
     assert probe(argv)["code"] == 0
     assert probe(argv)["dataclasses"] <= numpy_loads_dataclasses
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND + HELP, ids=lambda argv: " ".join(argv[:2]))
+def test_no_command_loads_argparse(argv, probe, numpy_loads):
+    # The command table parses argv: argparse, and the gettext and locale
+    # modules its messages load, cost every child a few ms at start-up.  A
+    # numpy that imports one of them itself does not fail this.
+    assert probe(argv)["code"] == 0
+    assert set(probe(argv)["parsing"]) <= numpy_loads
 
 
 def test_public_names_resolve_to_their_home_modules():
