@@ -135,13 +135,29 @@ def _load(args) -> tuple[UnitVectorSystem, Tolerances]:
         raise ValidationError(str(exc)) from None
 
 
+def _stdout():
+    """``sys.stdout``, which Python sets to None when file descriptor 1 was closed at start-up."""
+    if sys.stdout is None:
+        raise OSError("cannot write stdout: file descriptor 1 is closed")
+    return sys.stdout
+
+
+def _say(line: str) -> None:
+    """Write ``line`` to stderr, or drop it when file descriptor 2 is closed."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(line)
+        except OSError:
+            pass
+
+
 def _write(args, write) -> None:
     """Call ``write(stream)`` with the ``--out`` file, or with stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write(fh)
     else:
-        write(sys.stdout)
+        write(_stdout())
 
 
 def _emit(args, payload: dict, view: str) -> None:
@@ -181,7 +197,7 @@ def _cmd_naimark(args) -> int:
         f"coherence {round15(gram(system).coherence)} -> {round15(gram(complement).coherence)}\n"
     )
     _write(args, lambda out: write_frame(complement, out))
-    sys.stderr.write(summary)
+    _say(summary)
     return EXIT_OK
 
 
@@ -194,7 +210,7 @@ def _cmd_double(args) -> int:
         f"tightness {tightness(system, tol).kind} -> {tightness(doubled, tol).kind}\n"
     )
     _write(args, lambda out: write_frame(doubled, out))
-    sys.stderr.write(summary)
+    _say(summary)
     return EXIT_OK
 
 
@@ -273,24 +289,23 @@ def run(argv=None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if isinstance(args, str):  # the --help text
-            sys.stdout.write(args)
+            _stdout().write(args)
         code = EXIT_OK if isinstance(args, str) else _COMMANDS[args.command][0](args)
-        sys.stdout.flush()  # a closed stdout fails here, not at interpreter shutdown
+        if sys.stdout is not None:  # None only when every write went to --out
+            sys.stdout.flush()  # a closed reader fails here, not at interpreter shutdown
         return code
     except _UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"usage error: {exc}"
     except (ValidationError, MemoryError) as exc:  # MemoryError: an input too large to allocate
-        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
-        return EXIT_VALIDATION
+        code, message = EXIT_VALIDATION, f"error: {str(exc) or 'out of memory'}"
     except NumericalError as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
+        code, message = EXIT_NUMERICAL, f"numerical failure: {exc}"
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):  # stdout's exit flush then goes to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
+        code, message = EXIT_VALIDATION, f"error: {exc}"
+    _say(message + "\n")
+    return code
 
 
 def main() -> None:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     IterationLimit,
+    NonFinite,
     SearchFailed,
     ShapeError,
     ValidationError,
@@ -249,13 +250,15 @@ def perturb_replace(
 
     Reads vector i's ``neighbors`` record at coh(X), then halves eps until
     |<x', y>| < coh(X) - max(1e-12, 1e-6 coh(X)) for every other y.  The
-    normalized witness must be orthogonal to x_i (within 1e-8); raises
-    SearchFailed when 60 halvings give no strict improvement.
+    normalized witness must be finite and orthogonal to x_i (within 1e-8);
+    raises SearchFailed when 60 halvings give no strict improvement.
     """
     nb = neighbors(system, i, gram(system).coherence, tol)
     w = np.asarray(witness, dtype=float).ravel()
     if w.size != system.dim:
         raise ShapeError(f"witness has dimension {w.size}, expected {system.dim}")
+    if not np.all(np.isfinite(w)):
+        raise NonFinite("witness contains NaN or Inf")
     norm = float(np.linalg.norm(w))
     if norm <= 1e-12:
         raise ValidationError("witness must be a nonzero direction")

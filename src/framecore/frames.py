@@ -7,7 +7,10 @@ and equiangularity predicates, the Welch/orthoplex/Gerzon bound card, and
 frame reconstruction.  The Gram matrix, the frame operator and its
 spectrum are computed once per system, on first use, and kept on it, so
 every stage that reads them through ``gram``, ``frame_operator`` and
-``spectral_data`` shares the same read-only arrays.
+``spectral_data`` shares the same read-only arrays.  G = V V^T and
+S = V^T V are exactly symmetric as computed (numpy multiplies a matrix by
+its own transpose with one symmetric rank-k update), so neither is
+re-symmetrized, and nothing m x m is held beside G.
 """
 
 from __future__ import annotations
@@ -110,32 +113,25 @@ class UnitVectorSystem:
 
     @cached_property
     def _gram(self) -> GramMatrix:
-        V = self.vectors
-        G = V @ V.T
-        G += G.T  # numpy buffers the overlapping operand
-        G *= 0.5
-        if self.size == 1:
-            coherence = 0.0
-        else:
-            off = np.abs(G)
-            np.fill_diagonal(off, 0.0)
-            # Rounding can push |<x, y>| of (near-)parallel unit vectors past 1.
-            coherence = min(float(off.max()), 1.0)
+        G = self.vectors @ self.vectors.T
+        diagonal = G.diagonal().copy()
+        np.fill_diagonal(G, 0.0)
+        # Rounding can push |<x, y>| of (near-)parallel unit vectors past 1.
+        coherence = min(float(max(G.max(), -G.min())), 1.0)
+        np.fill_diagonal(G, diagonal)
         G.flags.writeable = False
         return GramMatrix(G, coherence)
 
     @cached_property
     def _frame_operator(self) -> np.ndarray:
-        V = self.vectors
-        S = V.T @ V
-        S = 0.5 * (S + S.T)
+        S = self.vectors.T @ self.vectors
         S.flags.writeable = False
         return S
 
     @cached_property
     def _spectrum(self) -> SpectralData:
-        # S is exactly symmetric, so sym_eig's symmetry check cannot fail
-        # and the result does not depend on the tolerances.
+        # V^T V comes out exactly symmetric, so sym_eig's symmetry check
+        # cannot fail and the result does not depend on the tolerances.
         return sym_eig(self._frame_operator)
 
 
@@ -328,17 +324,18 @@ def tightness(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> Tightn
 def is_equiangular(
     system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, float | None]:
-    """Whether all off-diagonal |G_ij| agree within neighbor_abs.
+    """Whether coherence - min_{i!=j} |G_ij| <= neighbor_abs: every neighbor set
+    at the coherence then holds the other m - 1 vectors.
 
-    Returns (flag, angle); the angle reported is the coherence.
+    Returns (flag, angle); the angle reported is the coherence.  The minimum
+    runs over 256-row blocks, diagonal included (1 up to rounding, it never
+    lowers the minimum past the band).
     """
     if system.size < 2:
         raise ShapeError("equiangularity needs at least two vectors")
     gm = gram(system)
-    off = np.abs(gm.entries)
-    np.fill_diagonal(off, off[0, 1])  # an off-diagonal value leaves max and min as they are
-    spread = float(off.max() - off.min())
-    if spread <= tol.neighbor_abs:
+    low = min(float(np.abs(gm.entries[k:k + 256]).min()) for k in range(0, system.size, 256))
+    if gm.coherence - low <= tol.neighbor_abs:
         return True, gm.coherence
     return False, None
 

@@ -859,15 +859,45 @@ def test_rejected_input_is_one_error_line(monkeypatch, capsys, argv, stdin, code
     assert message in err and err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_stdin_closed_at_start_up_exits_2_with_one_error_line():
-    # With file descriptor 0 closed, Python sets sys.stdin to None.
+def _sh_framecore(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` through sh with "$0" the interpreter and "$1"... ``args``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run(
-        ["sh", "-c", '"$0" -m framecore core <&-', sys.executable],
+    return subprocess.run(
+        ["sh", "-c", script, sys.executable, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_stdin_closed_at_start_up_exits_2_with_one_error_line():
+    # With file descriptor 0 closed, Python sets sys.stdin to None.
+    done = _sh_framecore('"$0" -m framecore core <&-')
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
     assert done.stderr == "error: cannot read stdin: file descriptor 0 is closed\n"
+
+
+@pytest.mark.parametrize("argv", ["construct six_in_r4", "--help", "double"], ids=["construct", "help", "double"])
+def test_stdout_closed_at_start_up_exits_2_with_one_error_line(argv):
+    # With file descriptor 1 closed, Python sets sys.stdout to None.
+    done = _sh_framecore(f'printf "1 0\\n0 1\\n" | "$0" -m framecore {argv} >&-')
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr == "error: cannot write stdout: file descriptor 1 is closed\n"
+
+
+def test_stdout_closed_at_start_up_leaves_out_runs_alone(tmp_path):
+    out = tmp_path / "six.json"
+    done = _sh_framecore('"$0" -m framecore construct six_in_r4 --out "$1" >&-', str(out))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert parse_frame_with_overrides(out.read_text())[0].size == 6
+
+
+def test_stderr_closed_at_start_up_drops_the_message_and_keeps_the_exit_code(monkeypatch, capsys, tmp_path):
+    frame = tmp_path / "six.json"
+    frame.write_text(run_cli(monkeypatch, capsys, ["construct", "six_in_r4"])[1])
+    done = _sh_framecore('"$0" -m framecore double "$1" 2>&-', str(frame))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run_cli(monkeypatch, capsys, ["double", str(frame)])[1]
+    done = _sh_framecore('"$0" -m framecore analyze "$1" 2>&-', str(tmp_path / "missing.json"))
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "")
 
 
 @pytest.mark.parametrize(
@@ -1032,6 +1062,21 @@ def _table_reading(argv):
     return ("help",) if isinstance(args, str) else ("ok", vars(args))
 
 
+_NAN = object()
+
+
+def _same_reading(reference, table) -> bool:
+    """``reference == table``, except that a NaN value equals a NaN value: both
+    parsers read ``--tol-eq nan`` as ``float("nan")``, which ``==`` calls unequal."""
+
+    def key(reading):
+        if reading[0] != "ok":
+            return reading
+        return ("ok", {k: _NAN if isinstance(v, float) and math.isnan(v) else v for k, v in reading[1].items()})
+
+    return key(reference) == key(table)
+
+
 _FLAGS = ("--tol-eq", "--tol-neighbor", "--tol-hull", "--format", "--out", "--index", "--m", "--n")
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
@@ -1118,15 +1163,23 @@ def test_table_reads_argv_as_argparse_did(monkeypatch, capsys):
 
     @hypothesis.settings(max_examples=600, deadline=None, derandomize=True, database=None)
     @hypothesis.given(_argv_strategy(st, st.integers(-10**6, 10**6).map(str)))
+    @hypothesis.example(["analyze", "--tol-eq", "nan"])
     def check(argv):
         reference, table = _reference_reading(argv), _table_reading(argv)
-        if reference != table:
+        if not _same_reading(reference, table):
             assert _listed_disagreement(argv), (argv, reference, table)
         elif reference == ("usage",):
             code, out, err = run_cli(monkeypatch, capsys, argv)
             assert (code, out) == (1, "") and err.startswith("usage error: ") and err.count("\n") == 1
 
     check()
+
+
+def test_same_reading_equates_nan_and_nothing_else():
+    nan, one = ("ok", {"tol_eq": math.nan, "file": "-"}), ("ok", {"tol_eq": 1e-3, "file": "-"})
+    assert _same_reading(nan, ("ok", {"tol_eq": float("nan"), "file": "-"}))
+    assert not _same_reading(nan, one) and not _same_reading(nan, ("ok", {"tol_eq": math.nan, "file": "x"}))
+    assert _same_reading(("usage",), ("usage",)) and not _same_reading(("usage",), ("help",))
 
 
 def test_run_never_raises_on_drawn_argv(monkeypatch, capsys, tmp_path):

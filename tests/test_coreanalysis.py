@@ -45,7 +45,7 @@ from framecore.coreanalysis import (
     CoreTrace,
     _tangent_neighbors,
 )
-from framecore.errors import SearchFailed, ValidationError
+from framecore.errors import NonFinite, SearchFailed, ValidationError
 from framecore.frames import GramMatrix, neighbors
 from framecore.numerics import (
     DEFAULT_TOL,
@@ -263,6 +263,12 @@ class TestPerturbReplace:
         X = tripod_example(0.5)
         with pytest.raises(ValidationError):
             perturb_replace(X, 0, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_witness(self, bad):
+        # rejected as input before the search, not 60 halvings later as SearchFailed
+        with pytest.raises(NonFinite):
+            perturb_replace(six_in_r4(), 0, [bad, 0.0, 0.0, 0.0])
 
     def test_bad_direction_fails_search(self):
         # pushing straight toward a neighbor can never drop below level

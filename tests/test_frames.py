@@ -89,6 +89,16 @@ class TestGram:
         gm = gram(circular_frame(5))
         assert abs(gm.coherence - math.cos(math.pi / 5.0)) <= 1e-12
 
+    @pytest.mark.parametrize("m, n", [(1, 5), (7, 1), (7, 300), (121, 120), (1000, 20)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_products_are_exactly_symmetric(self, m, n, seed):
+        # Neither G nor S is re-symmetrized, so numpy's product of a matrix with its own
+        # transpose must come out symmetric, or a neighbor set would depend on row versus column.
+        sys_ = random_unit_system(np.random.default_rng(seed), m, n)
+        V, G, S = sys_.vectors, gram(sys_).entries, frame_operator(sys_)
+        assert np.array_equal(G, G.T) and np.array_equal(S, S.T)
+        assert np.array_equal(G, V @ V.T)  # the coherence pass restores the diagonal
+
 
 class TestNeighbors:
     def test_tripod_example(self):
@@ -438,6 +448,28 @@ class TestEquiangular:
         sys_ = UnitVectorSystem.from_vectors([[1, 0, 0], [0, 1, 0], [0, 0, 1], list(t)])
         flag, angle = is_equiangular(sys_)
         assert not flag and angle is None
+
+    def test_flag_is_every_neighbor_set_full_at_the_band_edge(self):
+        # neighbor_abs is put a few ulps either side of coherence - min |G_ij| of a
+        # nudged simplex, so the smallest |G_ij| sits at the edge of the band.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(1e-10, 1e-4), st.integers(-4, 4))
+        def check(n, seed, scale, ulps):
+            rows = simplex_etf(n).vectors + scale * np.random.default_rng(seed).standard_normal((n + 1, n))
+            sys_ = UnitVectorSystem.from_vectors(rows / np.linalg.norm(rows, axis=1)[:, None])
+            gm, m = gram(sys_), sys_.size
+            band = gm.coherence - np.abs(gm.entries[~np.eye(m, dtype=bool)]).min()
+            for _ in range(abs(ulps)):
+                band = np.nextafter(band, math.copysign(np.inf, ulps))
+            hypothesis.assume(0.0 < band < 1e-2)
+            tol = frames.DEFAULT_TOL._replace(neighbor_abs=float(band))
+            full = all(len(neighbors(sys_, i, gm.coherence, tol).indices) == m - 1 for i in range(m))
+            assert is_equiangular(sys_, tol)[0] == full == (ulps >= 0)
+
+        check()
 
 
 class TestEtf:
