@@ -44,6 +44,7 @@ _HOMES = {
         "NeighborSet",
         "UnitVectorSystem",
         "bounds_card",
+        "coherence",
         "drop_one_spanning",
         "frame_operator",
         "gram",

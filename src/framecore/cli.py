@@ -25,7 +25,7 @@ import types
 # commands never execute ``constructions``, nor the transforms the analysis.
 from . import constructions, report, text
 from .errors import NumericalError, ValidationError
-from .frames import UnitVectorSystem, gram, tightness
+from .frames import UnitVectorSystem, coherence, tightness
 from .frameio import emit_json, parse_frame_with_overrides, round15, write_frame
 from .numerics import Tolerances
 
@@ -194,7 +194,7 @@ def _cmd_naimark(args) -> int:
         f"naimark complement: {complement.size} vectors in R^{complement.dim}, "
         f"lambda={round15(lam)}, top multiplicity k={k}\n"
         f"verified: unit norms and Gram relation G_Y (1 - lambda) = G_X within 1e-8; "
-        f"coherence {round15(gram(system).coherence)} -> {round15(gram(complement).coherence)}\n"
+        f"coherence {round15(coherence(system))} -> {round15(coherence(complement))}\n"
     )
     _write(args, lambda out: write_frame(complement, out))
     _say(summary)
@@ -206,7 +206,7 @@ def _cmd_double(args) -> int:
     doubled = constructions.double(system)
     summary = (
         f"doubled: {doubled.size} vectors in R^{doubled.dim}; "
-        f"coherence {round15(gram(system).coherence)} -> {round15(gram(doubled).coherence)}; "
+        f"coherence {round15(coherence(system))} -> {round15(coherence(doubled))}; "
         f"tightness {tightness(system, tol).kind} -> {tightness(doubled, tol).kind}\n"
     )
     _write(args, lambda out: write_frame(doubled, out))

@@ -16,8 +16,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateComplement, NotScalable, VerificationError
-from .frames import UnitVectorSystem, gram, spectral_data, welch_bound
-from .numerics import DEFAULT_TOL, Tolerances, orthonormal_complement
+from .frames import UnitVectorSystem, spectral_data, welch_bound
+from .numerics import (
+    BLOCK_ROWS,
+    DEFAULT_TOL,
+    Tolerances,
+    gram_rows,
+    off_diagonal_max,
+    orthonormal_complement,
+)
 
 
 def circular_frame(m: int) -> UnitVectorSystem:
@@ -113,7 +120,9 @@ def naimark_complement(
     result Y = {y_i} in R^{m-k} (k = multiplicity of lambda) satisfies
     <y_i, y_j> = <x_i, x_j> / (1 - lambda) for i != j, hence
     coh(Y) = coh(X) / (lambda - 1).  Both identities are verified to 1e-8
-    before returning.
+    on the returned vectors before returning, from one pass over
+    ``BLOCK_ROWS``-row blocks of X X^T and Y Y^T: no m x m array is formed,
+    and the (m + n - k)^2 completed basis is freed once Y is cut from it.
 
     Raises NotScalable when lambda <= 1 + eq_abs (e.g. an orthonormal
     basis) and DegenerateComplement when m = k.
@@ -131,25 +140,30 @@ def naimark_complement(
     extra = orthonormal_complement(synthesis_rows, tol)  # (m - k) x (m + n - k)
     scale = 1.0 / math.sqrt(1.0 - 1.0 / lam)
     Y = scale * extra[:, :m].T  # m rows in R^{m-k}
+    del extra  # frees the (m + n - k)^2 completed basis it is a view of
 
     norms = np.linalg.norm(Y, axis=1)
     if float(np.max(np.abs(norms - 1.0))) > 1e-8:
         raise VerificationError("complement vectors failed the unit-norm check")
-    residual = Y @ Y.T  # G_Y (1 - lambda) - G_X off the diagonal, in place
-    residual *= 1.0 - lam
-    residual -= gram(system).entries
-    np.fill_diagonal(residual, 0.0)
-    relation = float(np.abs(residual, out=residual).max())
-    del residual
+    out = UnitVectorSystem.from_vectors(Y, labels=[f"y{i+1}" for i in range(m)])
+    del Y
+    blocks = (_relation_block(system.vectors, out.vectors, lam, i) for i in range(0, m, BLOCK_ROWS))
+    coh_in, coh_out, relation = (max(part) for part in zip(*blocks))
     if relation > 1e-8:
         raise VerificationError(f"Gram relation violated by {relation:.3e}")
-    labels = [f"y{i+1}" for i in range(m)]
-    out = UnitVectorSystem.from_vectors(Y, labels=labels)
-    coh_out = gram(out).coherence
-    coh_in = gram(system).coherence
-    if abs(coh_out - coh_in / (lam - 1.0)) > 1e-8:
+    if abs(min(coh_out, 1.0) - min(coh_in, 1.0) / (lam - 1.0)) > 1e-8:
         raise VerificationError("coherence relation violated")
     return out, lam, k
+
+
+def _relation_block(X: np.ndarray, Y: np.ndarray, lam: float, start: int) -> tuple[float, float, float]:
+    """Over the ``gram_rows`` blocks of G_X and G_Y at row ``start``: their largest
+    |entries| off the diagonal, and that of G_Y (1 - lambda) - G_X."""
+    gx, gy = gram_rows(X, start), gram_rows(Y, start)
+    coh_x, coh_y = off_diagonal_max(gx), off_diagonal_max(gy)
+    gy *= 1.0 - lam
+    gy -= gx
+    return coh_x, coh_y, float(np.abs(gy, out=gy).max())
 
 
 def double(system: UnitVectorSystem) -> UnitVectorSystem:

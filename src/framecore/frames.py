@@ -10,7 +10,9 @@ every stage that reads them through ``gram``, ``frame_operator`` and
 ``spectral_data`` shares the same read-only arrays.  G = V V^T and
 S = V^T V are exactly symmetric as computed (numpy multiplies a matrix by
 its own transpose with one symmetric rank-k update), so neither is
-re-symmetrized, and nothing m x m is held beside G.
+re-symmetrized, and nothing m x m is held beside G.  ``coherence`` reads
+the kept G, or row blocks of V V^T when no G is kept, so a caller that
+needs only the coherence never forms an m x m array.
 """
 
 from __future__ import annotations
@@ -28,7 +30,16 @@ from .errors import (
     NotAFrame,
     ShapeError,
 )
-from .numerics import DEFAULT_TOL, SpectralData, Tolerances, rank_of, sym_eig
+from .numerics import (
+    BLOCK_ROWS,
+    DEFAULT_TOL,
+    SpectralData,
+    Tolerances,
+    gram_rows,
+    off_diagonal_max,
+    rank_of,
+    sym_eig,
+)
 
 # Rows farther than this from unit norm are rejected; closer ones are
 # renormalized with a warning (file round-tripping loses digits).
@@ -43,10 +54,10 @@ class UnitVectorSystem:
 
     ``from_vectors`` and ``restrict`` make ``vectors`` read-only, and no
     attribute can be rebound, so the data derived from them never goes
-    stale: the Gram matrix, the frame operator and its spectrum are computed
-    on first use and kept on the system (read them through ``gram``,
-    ``frame_operator`` and ``spectral_data``).  A restricted subsystem
-    computes its own.
+    stale: the Gram matrix, the coherence, the frame operator and its
+    spectrum are computed on first use and kept on the system (read them
+    through ``gram``, ``coherence``, ``frame_operator`` and
+    ``spectral_data``).  A restricted subsystem computes its own.
     """
 
     def __init__(self, vectors: np.ndarray, labels: tuple[str, ...] | None = None, warnings=()):
@@ -114,13 +125,23 @@ class UnitVectorSystem:
     @cached_property
     def _gram(self) -> GramMatrix:
         G = self.vectors @ self.vectors.T
-        diagonal = G.diagonal().copy()
-        np.fill_diagonal(G, 0.0)
-        # Rounding can push |<x, y>| of (near-)parallel unit vectors past 1.
-        coherence = min(float(max(G.max(), -G.min())), 1.0)
-        np.fill_diagonal(G, diagonal)
+        coherence = self.__dict__.get("_coherence")
+        if coherence is None:
+            diagonal = G.diagonal().copy()
+            np.fill_diagonal(G, 0.0)
+            # Rounding can push |<x, y>| of (near-)parallel unit vectors past 1.
+            coherence = min(float(max(G.max(), -G.min())), 1.0)
+            np.fill_diagonal(G, diagonal)
         G.flags.writeable = False
         return GramMatrix(G, coherence)
+
+    @cached_property
+    def _coherence(self) -> float:
+        kept = self.__dict__.get("_gram")
+        if kept is not None:
+            return kept.coherence
+        V = self.vectors
+        return min(max(off_diagonal_max(gram_rows(V, k)) for k in range(0, len(V), BLOCK_ROWS)), 1.0)
 
     @cached_property
     def _frame_operator(self) -> np.ndarray:
@@ -196,6 +217,16 @@ def welch_bound(m: int, n: int) -> float:
 def gram(system: UnitVectorSystem) -> GramMatrix:
     """Gram matrix and coherence of the system (computed once per system)."""
     return system._gram
+
+
+def coherence(system: UnitVectorSystem) -> float:
+    """max_{i!=j} |<x_i, x_j>|, capped at 1 (0.0 for one vector); computed once per system.
+
+    Read from the kept Gram matrix when there is one, else from
+    ``BLOCK_ROWS``-row blocks of V V^T, so no m x m array is formed.
+    ``gram(system).coherence`` is the same float whichever is computed first.
+    """
+    return system._coherence
 
 
 def neighbors(
@@ -328,13 +359,14 @@ def is_equiangular(
     at the coherence then holds the other m - 1 vectors.
 
     Returns (flag, angle); the angle reported is the coherence.  The minimum
-    runs over 256-row blocks, diagonal included (1 up to rounding, it never
-    lowers the minimum past the band).
+    runs over ``BLOCK_ROWS``-row blocks, diagonal included (1 up to rounding,
+    it never lowers the minimum past the band).
     """
     if system.size < 2:
         raise ShapeError("equiangularity needs at least two vectors")
     gm = gram(system)
-    low = min(float(np.abs(gm.entries[k:k + 256]).min()) for k in range(0, system.size, 256))
+    G = gm.entries
+    low = min(float(np.abs(G[k:k + BLOCK_ROWS]).min()) for k in range(0, system.size, BLOCK_ROWS))
     if gm.coherence - low <= tol.neighbor_abs:
         return True, gm.coherence
     return False, None

@@ -89,14 +89,21 @@ def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its first non-negligible entry is positive.
 
     The pivot is the first entry above 1e-12 in magnitude, or the largest
-    one in a column without such an entry.  The result is a C-ordered copy:
-    downstream products round differently on other memory layouts.
+    one in a column without such an entry.  The result is one C-ordered
+    copy, flipped in place: downstream products round differently on other
+    memory layouts.
     """
-    mag = np.abs(vectors)
-    big = mag > 1e-12
-    pivot = np.where(big.any(axis=0), np.argmax(big, axis=0), np.argmax(mag, axis=0))
+    big = vectors > 1e-12
+    big |= vectors < -1e-12
+    pivot = np.argmax(big, axis=0)
+    small = ~big.any(axis=0)
+    del big  # so that beside ``vectors`` only the copy below is as large
+    if small.any():
+        pivot[small] = np.argmax(np.abs(vectors[:, small]), axis=0)
     flip = vectors[pivot, np.arange(vectors.shape[1])] < 0.0
-    return np.where(flip, -vectors, vectors).copy(order="C")
+    out = np.array(vectors, order="C")
+    np.negative(out, out=out, where=flip)
+    return out
 
 
 def sym_eig(S, tol: Tolerances = DEFAULT_TOL) -> SpectralData:
@@ -142,6 +149,33 @@ def row_space(M, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
     return rows[:r], rows[r:]
 
 
+# Height of the row blocks in which an m x m product is read, never held whole.
+BLOCK_ROWS = 256
+
+
+def gram_rows(V: np.ndarray, k: int) -> np.ndarray:
+    """Rows k to k + BLOCK_ROWS - 1 of V V^T from column k on, as a new array.
+
+    Entry (i, j) of V V^T sits at [i - k, j - k], so the diagonal of the
+    block is that of V V^T.  Over k = 0, BLOCK_ROWS, ... the blocks cover
+    every pair i < j once, at the flops of one symmetric rank update; for
+    m <= BLOCK_ROWS the one block is V V^T itself.
+    """
+    return V[k:k + BLOCK_ROWS] @ V[k:].T
+
+
+def off_diagonal_max(block: np.ndarray) -> float:
+    """max |block_ij| off the diagonal of a ``gram_rows`` block, whose diagonal it zeroes."""
+    np.fill_diagonal(block, 0.0)
+    return max(float(block.max()), float(-block.min()))
+
+
+def _identity_error(block: np.ndarray) -> float:
+    """max |block - I| of a ``gram_rows`` block, computed in place."""
+    block.flat[:: block.shape[1] + 1] -= 1.0
+    return float(np.abs(block, out=block).max())
+
+
 def rank_of(M, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numerical rank: the row count of ``row_space(M, tol)``'s basis."""
     return row_space(M, tol)[0].shape[0]
@@ -162,15 +196,16 @@ def orthonormal_complement(rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise NotOrthonormal(f"cannot have {r} orthonormal rows in R^{n}")
     if r and not np.all(np.isfinite(R)):
         raise NonFinite("rows contain NaN or Inf")
-    if r and float(np.max(np.abs(R @ R.T - np.eye(r)))) > tol.eq_abs:
+    error = float(np.max(np.abs(R @ R.T - np.eye(r)))) if r else 0.0
+    if error > tol.eq_abs:
         raise NotOrthonormal("input rows are not orthonormal within eq_abs")
 
     out = row_space(R, tol)[1] if r else np.eye(n)
-    full = np.vstack([R, out])
-    error = full @ full.T  # |full full^T - I|, in place
-    del full
-    error.flat[:: len(error) + 1] -= 1.0
-    if len(error) != n or float(np.abs(error, out=error).max(initial=0.0)) > 1e-8:
+    # |[R; out] [R; out]^T - I| by parts: R R^T - I above, R out^T, and
+    # out out^T - I in row blocks, none of them n x n.
+    blocks = (_identity_error(gram_rows(out, k)) for k in range(0, len(out), BLOCK_ROWS))
+    error = max(error, float(np.abs(R @ out.T).max(initial=0.0)), *blocks)
+    if r + len(out) != n or error > 1e-8:
         raise VerificationError("completed basis failed the orthonormality check")
     out.flags.writeable = False
     return out

@@ -11,6 +11,7 @@ from framecore import (
     UnitVectorSystem,
     bounds_card,
     build_analysis_report,
+    coherence,
     circular_frame,
     core,
     double,
@@ -98,6 +99,56 @@ class TestGram:
         V, G, S = sys_.vectors, gram(sys_).entries, frame_operator(sys_)
         assert np.array_equal(G, G.T) and np.array_equal(S, S.T)
         assert np.array_equal(G, V @ V.T)  # the coherence pass restores the diagonal
+
+
+def _over_one() -> np.ndarray:
+    """A seeded unit row whose product with itself rounds to 1 + 2^-52."""
+    return random_unit_system(np.random.default_rng(3), 1, 5).vectors[0]
+
+
+def _coherence_cases() -> dict[str, np.ndarray]:
+    x = _over_one()
+    cases = {
+        f"gauss-{m}x{n}": random_unit_system(np.random.default_rng(seed), m, n).vectors
+        for seed, (m, n) in enumerate([(2, 2), (7, 3), (40, 6), (256, 4), (300, 12), (600, 5)])
+    }
+    cases["simplex-8"] = simplex_etf(8).vectors
+    cases["duplicate"] = np.vstack([x, x, random_unit_system(np.random.default_rng(4), 3, 5).vectors])
+    cases["antipodal"] = np.vstack([x, -x])
+    cases["m=1"] = x.reshape(1, -1)
+    cases["m=n=1"] = np.array([[1.0]])
+    return cases
+
+
+class TestCoherence:
+    """``coherence(X)`` and ``gram(X).coherence`` are one value kept on the system."""
+
+    CASES = _coherence_cases()
+
+    @pytest.mark.parametrize("rows", CASES.values(), ids=CASES.keys())
+    def test_equals_the_gram_coherence_in_both_call_orders(self, rows):
+        first = UnitVectorSystem.from_vectors(rows)
+        alone = coherence(first)
+        assert "_gram" not in first.__dict__  # no Gram matrix was formed
+        assert gram(first).coherence == alone
+        second = UnitVectorSystem.from_vectors(rows)
+        kept = gram(second).coherence
+        assert coherence(second) == kept
+        if len(rows) <= 256:  # one block, which is V V^T itself: the same float either way
+            assert alone == kept
+        G = rows @ rows.T
+        np.fill_diagonal(G, 0.0)
+        assert abs(alone - min(float(np.abs(G).max()), 1.0)) <= 1e-15
+
+    def test_duplicate_and_antipodal_rows_are_capped_at_one(self):
+        x = _over_one()
+        assert (np.vstack([x, x]) @ np.vstack([x, x]).T)[0, 1] > 1.0  # the cap has work
+        for rows in (np.vstack([x, x]), np.vstack([x, -x])):
+            for read in (coherence, lambda X: gram(X).coherence):
+                assert read(UnitVectorSystem.from_vectors(rows)) == 1.0
+
+    def test_one_vector_has_coherence_zero(self):
+        assert coherence(UnitVectorSystem.from_vectors([[0.6, 0.8]])) == 0.0
 
 
 class TestNeighbors:
@@ -241,17 +292,18 @@ class TestDerivedData:
         return grams, eighs
 
     @pytest.mark.parametrize(
-        "run",
-        [build_analysis_report, build_check_report, naimark_complement],
+        "run, expected_grams",
+        [(build_analysis_report, 1), (build_check_report, 1), (naimark_complement, 0)],
         ids=["analyze", "check", "naimark"],
     )
-    def test_one_computation_per_stage(self, monkeypatch, run):
-        # restricted subsystems (core levels, core validation) are not counted
+    def test_one_computation_per_stage(self, monkeypatch, run, expected_grams):
+        # restricted subsystems (core levels, core validation) are not counted;
+        # naimark checks its Gram relation in row blocks and keeps no Gram matrix
         for X in self._systems():
             with monkeypatch.context() as mp:
                 grams, eighs = self._count(mp, X)
                 run(X, frames.DEFAULT_TOL)
-            assert (len(grams), len(eighs)) == (1, 1)
+            assert (len(grams), len(eighs)) == (expected_grams, 1)
 
 
 class TestSpans:

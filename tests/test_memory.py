@@ -1,16 +1,29 @@
 """Memory regression tests: frame emission holds one row of text at a time,
-and the Gram matrix is computed, and read for equiangularity, with no m x m
-temporary beside it.
+the Gram matrix is computed, and read for equiangularity, with no m x m
+temporary beside it, and the coherence, the Naimark complement and the
+``double`` command form no m x m array at all.
 
 Peaks are read with tracemalloc, which numpy reports its buffers to, so they
 repeat exactly from run to run.
 """
 
+import contextlib
+import io
+import os
 import tracemalloc
 
 import numpy as np
 
-from framecore import gram, is_equiangular, simplex_etf, write_frame
+from framecore import (
+    coherence,
+    emit_frame,
+    gram,
+    is_equiangular,
+    naimark_complement,
+    simplex_etf,
+    write_frame,
+)
+from framecore.cli import run
 from helpers import random_unit_system
 
 KIB = 1024
@@ -48,3 +61,40 @@ def test_is_equiangular_holds_no_m_by_m_temporary():
     peak = _peak_bytes(lambda: is_equiangular(system))
     # One block of 256 rows of |G|: 256 * 2000 * 8 bytes = 3.91 MiB.
     assert peak <= 256 * 2000 * 8 + 64 * KIB
+
+
+def test_coherence_without_a_kept_gram_holds_one_block():
+    system = random_unit_system(np.random.default_rng(0), 2000, 12)
+    peak = _peak_bytes(lambda: coherence(system))
+    # One block of 256 rows of V V^T: 256 * 2000 * 8 bytes = 3.91 MiB; the
+    # whole Gram matrix would be 30.5 MiB.
+    assert peak <= 256 * 2000 * 8 + 64 * KIB
+
+
+def test_naimark_holds_one_completion_basis_and_row_blocks():
+    m, n = 400, 12
+    system = random_unit_system(np.random.default_rng(0), m, n)
+    big = m + n - 1  # the completed basis is N x N, N = m + n - k, with k = 1 here
+    peak = _peak_bytes(lambda: naimark_complement(system))
+    # At most two N x N arrays at once (the SVD's V^T and its sign-fixed C-ordered
+    # copy), or later the m x (m - k) output next to the basis or beside one
+    # 256-row block pair of the Gram check; no m x m Gram matrix.
+    assert peak <= 2 * big * big * 8 + m * (m - 1) * 8 + 256 * m * 8
+
+
+def test_double_command_forms_no_gram_of_its_output(tmp_path):
+    m, n = 1000, 12
+    path = tmp_path / "frame.json"
+    path.write_text(emit_frame(random_unit_system(np.random.default_rng(0), m, n)))
+
+    def double():
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert run(["double", str(path), "--out", os.devnull]) == 0
+
+    double()  # loads the modules the command executes
+    peak = _peak_bytes(double)
+    # The (2m)^2 Gram matrix of the output would be 2000 * 2000 * 8 bytes =
+    # 30.5 MiB.  The summary's coherence reads one 256-row block of it,
+    # 256 * 2000 * 8 bytes = 3.91 MiB, beside the 2m x 2n output (0.37 MiB) and
+    # at most 2 MiB of frame text and parsed rows.
+    assert peak <= 256 * 2 * m * 8 + 2 * m * 2 * n * 8 + 2048 * KIB

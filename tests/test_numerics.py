@@ -223,6 +223,22 @@ def _fix_column_signs_loop(vectors):
     return out
 
 
+def _fix_column_signs_before(vectors):
+    """The formulation before the in-place flip: ``np.where`` and a C-ordered copy."""
+    mag = np.abs(vectors)
+    big = mag > 1e-12
+    pivot = np.where(big.any(axis=0), np.argmax(big, axis=0), np.argmax(mag, axis=0))
+    flip = vectors[pivot, np.arange(vectors.shape[1])] < 0.0
+    return np.where(flip, -vectors, vectors).copy(order="C")
+
+
+def _same_bytes_and_layout(got, ref):
+    """Equal bytes (signed zeros too), shape, strides and C/F flags."""
+    assert got.tobytes() == ref.tobytes()
+    assert (got.shape, got.strides) == (ref.shape, ref.strides)
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (ref.flags.c_contiguous, ref.flags.f_contiguous)
+
+
 class TestFixColumnSigns:
     @staticmethod
     def _cases():
@@ -249,6 +265,30 @@ class TestFixColumnSigns:
             assert np.array_equal(np.signbit(got), np.signbit(ref))  # -0.0 too
             assert got.flags.c_contiguous
             assert np.array_equal(M, before)
+            _same_bytes_and_layout(got, _fix_column_signs_before(M))
+
+    @staticmethod
+    def _matrices():
+        """Seeded matrices with a zero column and a column below 1e-12, so that
+        singular vectors and eigenvectors have zero and sub-1e-12 leading entries."""
+        rng = np.random.default_rng(31)
+        for shape in ((1, 6), (3, 7), (7, 3), (5, 5), (12, 40), (40, 12)):
+            M = rng.standard_normal(shape)
+            M[:, 0] = 0.0
+            M[:, -1] *= 1e-13
+            yield M
+
+    def test_row_space_and_sym_eig_match_the_where_formulation(self):
+        for M in self._matrices():
+            _, sigma, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+            r = int(np.sum(sigma**2 > DEFAULT_TOL.rank_rel * sigma[0] ** 2))
+            rows = _fix_column_signs_before(vt.T).T
+            basis, complement = row_space(M)
+            _same_bytes_and_layout(basis, rows[:r])
+            _same_bytes_and_layout(complement, rows[r:])
+            S = M.T @ M
+            vectors = np.linalg.eigh(0.5 * (S + S.T))[1]
+            _same_bytes_and_layout(sym_eig(S).eigenvectors, _fix_column_signs_before(vectors[:, ::-1]))
 
 
 class TestOrthonormalComplement:

@@ -25,7 +25,8 @@ from framecore import (  # noqa: E402
     six_in_r4,
     write_frame,
 )
-from framecore.frameio import round15  # noqa: E402
+from framecore.errors import ShapeError  # noqa: E402
+from framecore.frameio import _coordinate, round15  # noqa: E402
 from helpers import basis_plus_diagonal, tripod_example  # noqa: E402
 
 # Derandomized so the suite is deterministic; no example database is written.
@@ -52,6 +53,11 @@ def _structured(n):
     return out
 
 
+def _unit(rows):
+    rows = np.asarray(rows, dtype=float)
+    return UnitVectorSystem.from_vectors(rows / np.linalg.norm(rows, axis=1)[:, None])
+
+
 @st.composite
 def small_frames(draw):
     """Up to 12 unit vectors in R^n, n <= 5: a structured frame or Gaussian rows, plus extras."""
@@ -61,8 +67,34 @@ def small_frames(draw):
     pick = draw(st.integers(0, len(options)))
     rows = options[pick] if pick < len(options) else rng.standard_normal((draw(st.integers(2, 12)), n))
     extra = draw(st.integers(0, 12 - len(rows))) if draw(st.booleans()) else 0
-    rows = np.vstack([rows, rng.standard_normal((extra, n))])
-    return UnitVectorSystem.from_vectors(rows / np.linalg.norm(rows, axis=1)[:, None])
+    return _unit(np.vstack([rows, rng.standard_normal((extra, n))]))
+
+
+# The degenerate inputs the invariance properties exist for, pinned so that no
+# change to the drawn cases can drop them: duplicate rows, antipodal rows, one
+# vector (drop-one has nothing left to span with) and frames in R^1.
+_DUPLICATES = _unit([[1.0, 2.0, 0.5], [1.0, 2.0, 0.5], [0.0, 1.0, 0.0], [3.0, -1.0, 1.0]])
+_ANTIPODES = _unit([[1.0, 2.0, 0.5], [-1.0, -2.0, -0.5], [0.0, 1.0, 0.0], [3.0, -1.0, 1.0]])
+_ONE_VECTOR = _unit([[0.6, 0.8]])
+_IN_R1 = _unit([[1.0], [-1.0], [1.0]])
+
+
+def _signed_permutation(system, perm, signs):
+    moved = np.array(signs, dtype=float)[:, None] * system.vectors[list(perm)]
+    return system, UnitVectorSystem.from_vectors(moved), perm
+
+
+def _rotation(system, seed):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((system.dim, system.dim)))
+    return system, UnitVectorSystem.from_vectors(system.vectors @ Q)
+
+
+def _drop_one(system):
+    """``drop_one_spanning``, or ShapeError for one vector, where nothing is left to span."""
+    try:
+        return drop_one_spanning(system)
+    except ShapeError:
+        return ShapeError
 
 
 @st.composite
@@ -70,36 +102,40 @@ def frames_with_signed_permutation(draw):
     system = draw(small_frames())
     perm = draw(st.permutations(range(system.size)))
     signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=system.size, max_size=system.size))
-    moved = UnitVectorSystem.from_vectors(np.array(signs)[:, None] * system.vectors[list(perm)])
-    return system, moved, perm
+    return _signed_permutation(system, perm, signs)
 
 
 @PROPERTY
 @given(frames_with_signed_permutation())
+@example(_signed_permutation(_DUPLICATES, (1, 3, 0, 2), (1, -1, -1, 1)))
+@example(_signed_permutation(_ANTIPODES, (2, 0, 3, 1), (-1, 1, 1, -1)))
+@example(_signed_permutation(_ONE_VECTOR, (0,), (-1,)))
+@example(_signed_permutation(_IN_R1, (2, 1, 0), (1, 1, -1)))
 def test_verdicts_follow_permutation_and_sign_flips(case):
     system, moved, perm = case
     statuses = [v.status for v in isolable_set(system).verdicts]
     assert [v.status for v in isolable_set(moved).verdicts] == [statuses[p] for p in perm]
-    drop_one = drop_one_spanning(system)
-    assert drop_one_spanning(moved) == tuple(drop_one[p] for p in perm)
+    drop_one = _drop_one(system)
+    assert _drop_one(moved) == (drop_one if drop_one is ShapeError else tuple(drop_one[p] for p in perm))
 
 
 @st.composite
 def frames_with_rotation(draw):
-    system = draw(small_frames())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    Q, _ = np.linalg.qr(rng.standard_normal((system.dim, system.dim)))
-    return system, UnitVectorSystem.from_vectors(system.vectors @ Q)
+    return _rotation(draw(small_frames()), draw(st.integers(0, 2**32 - 1)))
 
 
 @PROPERTY
 @given(frames_with_rotation())
+@example(_rotation(_DUPLICATES, 1))
+@example(_rotation(_ANTIPODES, 2))
+@example(_rotation(_ONE_VECTOR, 3))
+@example(_rotation(_IN_R1, 4))
 def test_verdicts_and_core_ignore_rotation(case):
     system, rotated = case
     assert [v.status for v in isolable_set(rotated).verdicts] == [
         v.status for v in isolable_set(system).verdicts
     ]
-    assert drop_one_spanning(rotated) == drop_one_spanning(system)
+    assert _drop_one(rotated) == _drop_one(system)
     assert core(rotated).core == core(system).core
 
 
@@ -155,8 +191,19 @@ def emitted_systems(draw):
     return UnitVectorSystem.from_vectors(np.array(rows), labels=labels)
 
 
+def _with_slack(*small):
+    """A unit row: the given entries, then the coordinate that completes the norm."""
+    return [*small, float(np.sqrt(1.0 - sum(v * v for v in small)))]
+
+
 @PROPERTY
 @given(emitted_systems())
+@example(UnitVectorSystem.from_vectors([[-0.0, 1.0, 0.0], [0.0, -1.0, -0.0]]))  # signed zeros
+@example(UnitVectorSystem.from_vectors([[5e-324, -1.0], [-1e-310, 1.0]]))  # subnormals
+# %g's fixed/exponent switch at 1e-4: either side, and a value that 15 digits round onto it
+@example(UnitVectorSystem.from_vectors([_with_slack(1e-4, -9.99999999999999e-5, 9.999999999999999e-5)]))
+# the other end of fixed form for a unit row: a coordinate that 15 digits round up to 1
+@example(UnitVectorSystem.from_vectors([[0.9999999999999999, 1.4901161193847656e-08]]))
 def test_emit_frame_matches_the_json_encoder_and_parses_back_exactly(system):
     text = emit_frame(system)
     assert text == _reference_emit_frame(system)
@@ -169,3 +216,13 @@ def test_emit_frame_matches_the_json_encoder_and_parses_back_exactly(system):
     )
     assert back.labels == rounded.labels == system.labels
     assert back.vectors.tobytes() == rounded.vectors.tobytes()  # signed zeros included
+
+
+# A unit row cannot reach |v| >= 1e15, where %g switches back to exponent
+# form, so the coordinate formatter is checked there directly.
+@pytest.mark.parametrize("v", [
+    1e15, -1e15, 9.99999999999999e14, 999999999999999.4, 999999999999999.6,
+    1e-4, -9.99999999999999e-5, 9.999999999999999e-5, 0.0, -0.0, 5e-324, -1e-310,
+])
+def test_coordinate_is_the_json_encoder_at_the_format_boundaries(v):
+    assert _coordinate(v) == json.dumps(round15(v))
