@@ -11,6 +11,7 @@ checks.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -18,10 +19,9 @@ import numpy as np
 from .errors import DegenerateComplement, NotScalable, VerificationError
 from .frames import UnitVectorSystem, spectral_data, welch_bound
 from .numerics import (
-    BLOCK_ROWS,
     DEFAULT_TOL,
     Tolerances,
-    gram_rows,
+    gram_blocks,
     off_diagonal_max,
     orthonormal_complement,
 )
@@ -120,8 +120,8 @@ def naimark_complement(
     result Y = {y_i} in R^{m-k} (k = multiplicity of lambda) satisfies
     <y_i, y_j> = <x_i, x_j> / (1 - lambda) for i != j, hence
     coh(Y) = coh(X) / (lambda - 1).  Both identities are verified to 1e-8
-    on the returned vectors before returning, from one pass over
-    ``BLOCK_ROWS``-row blocks of X X^T and Y Y^T: no m x m array is formed,
+    on the returned vectors before returning, from one pass over the
+    ``gram_blocks`` of X X^T and Y Y^T: no m x m array is formed,
     and the (m + n - k)^2 completed basis is freed once Y is cut from it.
 
     Raises NotScalable when lambda <= 1 + eq_abs (e.g. an orthonormal
@@ -147,7 +147,7 @@ def naimark_complement(
         raise VerificationError("complement vectors failed the unit-norm check")
     out = UnitVectorSystem.from_vectors(Y, labels=[f"y{i+1}" for i in range(m)])
     del Y
-    blocks = (_relation_block(system.vectors, out.vectors, lam, i) for i in range(0, m, BLOCK_ROWS))
+    blocks = map(_relation_block, gram_blocks(system.vectors), gram_blocks(out.vectors), repeat(lam))
     coh_in, coh_out, relation = (max(part) for part in zip(*blocks))
     if relation > 1e-8:
         raise VerificationError(f"Gram relation violated by {relation:.3e}")
@@ -156,10 +156,9 @@ def naimark_complement(
     return out, lam, k
 
 
-def _relation_block(X: np.ndarray, Y: np.ndarray, lam: float, start: int) -> tuple[float, float, float]:
-    """Over the ``gram_rows`` blocks of G_X and G_Y at row ``start``: their largest
-    |entries| off the diagonal, and that of G_Y (1 - lambda) - G_X."""
-    gx, gy = gram_rows(X, start), gram_rows(Y, start)
+def _relation_block(gx: np.ndarray, gy: np.ndarray, lam: float) -> tuple[float, float, float]:
+    """Over one pair of ``gram_blocks`` blocks of G_X and G_Y: their largest
+    |entries| off the diagonal, and that of G_Y (1 - lambda) - G_X, in place."""
     coh_x, coh_y = off_diagonal_max(gx), off_diagonal_max(gy)
     gy *= 1.0 - lam
     gy -= gx

@@ -39,6 +39,7 @@ from .frames import (
     NeighborSet,
     TightnessVerdict,
     UnitVectorSystem,
+    coherence,
     gram,
     neighbors,
     spectral_data,
@@ -194,8 +195,7 @@ def classify_vector(
     constructing the perturbed vector; a failed construction or an
     iteration cap yields ``indeterminate`` rather than a guess.
     """
-    gm = gram(system)
-    alpha = gm.coherence
+    alpha = coherence(system)
     nb = neighbors(system, i, alpha, tol)
     warnings = tuple(f"|G[{i},{j}]| is within 2x neighbor_abs of the coherence; "
                      "classification is tolerance-sensitive here" for j in nb.near_ties)
@@ -216,7 +216,7 @@ def classify_vector(
         status = DEFICIENT_ISOLABLE
         witness = _deficiency_witness(system.vectors[i], complement)
     else:
-        tangent = _tangent_neighbors(system, i, nb, gm.entries)
+        tangent = _tangent_neighbors(system, i, nb, gram(system).entries)
         try:
             result = nnls_cone_feasible(tangent, -np.sum(tangent, axis=0), tol)
         except IterationLimit as exc:
@@ -253,7 +253,7 @@ def perturb_replace(
     normalized witness must be finite and orthogonal to x_i (within 1e-8);
     raises SearchFailed when 60 halvings give no strict improvement.
     """
-    nb = neighbors(system, i, gram(system).coherence, tol)
+    nb = neighbors(system, i, coherence(system), tol)
     w = np.asarray(witness, dtype=float).ravel()
     if w.size != system.dim:
         raise ShapeError(f"witness has dimension {w.size}, expected {system.dim}")
@@ -308,7 +308,7 @@ def isolable_set(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> Cor
     """
     verdicts = tuple(classify_vector(system, i, tol) for i in range(system.size))
     removed = tuple(v.index for v in verdicts if v.isolable)
-    return CoreLevel(tuple(range(system.size)), removed, gram(system).coherence, verdicts)
+    return CoreLevel(tuple(range(system.size)), removed, coherence(system), verdicts)
 
 
 class CoreTrace(NamedTuple):
@@ -378,7 +378,7 @@ def validate_core(
     Failures are labeled ``NOT_GRASSMANNIAN`` (an empty core fails the
     spanning row unlabeled); they never raise.
     """
-    n, alpha0 = system.dim, gram(system).coherence
+    n, alpha0 = system.dim, coherence(system)
     if alpha0 <= tol.neighbor_abs:
         full = trace.core == tuple(range(system.size))
         return CoreValidation((

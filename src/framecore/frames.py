@@ -4,15 +4,15 @@ The central object is :class:`UnitVectorSystem`: m unit vectors in R^n,
 stored one per row.  On top of it live the Gram matrix and coherence, the
 level-alpha neighbor sets, the frame operator with its spectrum, tightness
 and equiangularity predicates, the Welch/orthoplex/Gerzon bound card, and
-frame reconstruction.  The Gram matrix, the frame operator and its
-spectrum are computed once per system, on first use, and kept on it, so
-every stage that reads them through ``gram``, ``frame_operator`` and
-``spectral_data`` shares the same read-only arrays.  G = V V^T and
-S = V^T V are exactly symmetric as computed (numpy multiplies a matrix by
-its own transpose with one symmetric rank-k update), so neither is
-re-symmetrized, and nothing m x m is held beside G.  ``coherence`` reads
-the kept G, or row blocks of V V^T when no G is kept, so a caller that
-needs only the coherence never forms an m x m array.
+frame reconstruction.  The coherence, the Gram matrix, the frame
+operator and its spectrum are computed once per system, on first use, and
+kept on it, so every stage shares the same values and read-only arrays.
+G = V V^T and S = V^T V are exactly symmetric as computed (numpy
+multiplies a matrix by its own transpose with one symmetric rank-k
+update), so neither is re-symmetrized.  The coherence and the
+equiangularity test read the row blocks of ``gram_blocks``, never G, so
+the coherence is one float whichever stage asks first, and G serves only
+the neighbor rows.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ from .errors import (
     ShapeError,
 )
 from .numerics import (
-    BLOCK_ROWS,
     DEFAULT_TOL,
     SpectralData,
     Tolerances,
-    gram_rows,
+    gram_blocks,
     off_diagonal_max,
     rank_of,
     sym_eig,
@@ -89,7 +88,11 @@ class UnitVectorSystem:
             raise ShapeError(f"need an m x n array with m, n >= 1, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise NonFinite("vector entries contain NaN or Inf")
-        norms = np.linalg.norm(arr, axis=1)
+        with np.errstate(over="ignore"):  # a row whose squares overflow is scaled first
+            norms = np.linalg.norm(arr, axis=1)
+            for i in np.flatnonzero(np.isinf(norms)):
+                peak = np.abs(arr[i]).max()
+                norms[i] = peak * np.linalg.norm(arr[i] / peak)  # inf only past the largest float
         off = np.abs(norms - 1.0)
         bad = np.flatnonzero(off > RENORM_LIMIT)
         if bad.size:
@@ -124,24 +127,15 @@ class UnitVectorSystem:
 
     @cached_property
     def _gram(self) -> GramMatrix:
+        coherence = self._coherence  # first, so that its block is freed before G is formed
         G = self.vectors @ self.vectors.T
-        coherence = self.__dict__.get("_coherence")
-        if coherence is None:
-            diagonal = G.diagonal().copy()
-            np.fill_diagonal(G, 0.0)
-            # Rounding can push |<x, y>| of (near-)parallel unit vectors past 1.
-            coherence = min(float(max(G.max(), -G.min())), 1.0)
-            np.fill_diagonal(G, diagonal)
         G.flags.writeable = False
         return GramMatrix(G, coherence)
 
     @cached_property
     def _coherence(self) -> float:
-        kept = self.__dict__.get("_gram")
-        if kept is not None:
-            return kept.coherence
-        V = self.vectors
-        return min(max(off_diagonal_max(gram_rows(V, k)) for k in range(0, len(V), BLOCK_ROWS)), 1.0)
+        # Rounding can push |<x, y>| of (near-)parallel unit vectors past 1.
+        return min(max(map(off_diagonal_max, gram_blocks(self.vectors))), 1.0)
 
     @cached_property
     def _frame_operator(self) -> np.ndarray:
@@ -222,9 +216,9 @@ def gram(system: UnitVectorSystem) -> GramMatrix:
 def coherence(system: UnitVectorSystem) -> float:
     """max_{i!=j} |<x_i, x_j>|, capped at 1 (0.0 for one vector); computed once per system.
 
-    Read from the kept Gram matrix when there is one, else from
-    ``BLOCK_ROWS``-row blocks of V V^T, so no m x m array is formed.
-    ``gram(system).coherence`` is the same float whichever is computed first.
+    The one definition of the packing angle: read from the row blocks of
+    ``gram_blocks``, so no m x m array is formed, and kept on the system.
+    ``gram(system).coherence`` is this float, whichever is asked first.
     """
     return system._coherence
 
@@ -358,17 +352,16 @@ def is_equiangular(
     """Whether coherence - min_{i!=j} |G_ij| <= neighbor_abs: every neighbor set
     at the coherence then holds the other m - 1 vectors.
 
-    Returns (flag, angle); the angle reported is the coherence.  The minimum
-    runs over ``BLOCK_ROWS``-row blocks, diagonal included (1 up to rounding,
-    it never lowers the minimum past the band).
+    Returns (flag, angle); the angle reported is the coherence.  The minimum,
+    diagonal included (1 up to rounding, it never lowers the minimum past the
+    band), is read like the coherence from ``gram_blocks``, one at a time.
     """
     if system.size < 2:
         raise ShapeError("equiangularity needs at least two vectors")
-    gm = gram(system)
-    G = gm.entries
-    low = min(float(np.abs(G[k:k + BLOCK_ROWS]).min()) for k in range(0, system.size, BLOCK_ROWS))
-    if gm.coherence - low <= tol.neighbor_abs:
-        return True, gm.coherence
+    alpha = coherence(system)
+    low = min(map(lambda block: float(np.abs(block, out=block).min()), gram_blocks(system.vectors)))
+    if alpha - low <= tol.neighbor_abs:
+        return True, alpha
     return False, None
 
 
@@ -405,7 +398,7 @@ def bounds_card(system: UnitVectorSystem) -> BoundsCard:
     misleading zero.
     """
     m, n = system.size, system.dim
-    alpha = gram(system).coherence
+    alpha = coherence(system)
     if m > n:
         w = welch_bound(m, n)
         meets = abs(alpha - w) <= WELCH_EQ_ABS

@@ -153,25 +153,26 @@ def row_space(M, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
 BLOCK_ROWS = 256
 
 
-def gram_rows(V: np.ndarray, k: int) -> np.ndarray:
-    """Rows k to k + BLOCK_ROWS - 1 of V V^T from column k on, as a new array.
+def gram_blocks(V: np.ndarray):
+    """Yield V[k:k + BLOCK_ROWS] V[k:]^T for k = 0, BLOCK_ROWS, ..., each a new array.
 
-    Entry (i, j) of V V^T sits at [i - k, j - k], so the diagonal of the
-    block is that of V V^T.  Over k = 0, BLOCK_ROWS, ... the blocks cover
-    every pair i < j once, at the flops of one symmetric rank update; for
-    m <= BLOCK_ROWS the one block is V V^T itself.
+    Entry (i, j) of V V^T sits at [i - k, j - k] of block k, so a block's
+    diagonal is that of V V^T.  The blocks cover every pair i < j once, at the
+    flops of one symmetric rank update; for m <= BLOCK_ROWS the one block is
+    V V^T itself.  Reduce them with ``map``: a loop variable keeps two alive.
     """
-    return V[k:k + BLOCK_ROWS] @ V[k:].T
+    for k in range(0, len(V), BLOCK_ROWS):
+        yield V[k:k + BLOCK_ROWS] @ V[k:].T
 
 
 def off_diagonal_max(block: np.ndarray) -> float:
-    """max |block_ij| off the diagonal of a ``gram_rows`` block, whose diagonal it zeroes."""
+    """max |block_ij| off the diagonal of a ``gram_blocks`` block, whose diagonal it zeroes."""
     np.fill_diagonal(block, 0.0)
     return max(float(block.max()), float(-block.min()))
 
 
 def _identity_error(block: np.ndarray) -> float:
-    """max |block - I| of a ``gram_rows`` block, computed in place."""
+    """max |block - I| of a ``gram_blocks`` block, computed in place."""
     block.flat[:: block.shape[1] + 1] -= 1.0
     return float(np.abs(block, out=block).max())
 
@@ -203,7 +204,7 @@ def orthonormal_complement(rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     out = row_space(R, tol)[1] if r else np.eye(n)
     # |[R; out] [R; out]^T - I| by parts: R R^T - I above, R out^T, and
     # out out^T - I in row blocks, none of them n x n.
-    blocks = (_identity_error(gram_rows(out, k)) for k in range(0, len(out), BLOCK_ROWS))
+    blocks = map(_identity_error, gram_blocks(out))
     error = max(error, float(np.abs(R @ out.T).max(initial=0.0)), *blocks)
     if r + len(out) != n or error > 1e-8:
         raise VerificationError("completed basis failed the orthonormality check")

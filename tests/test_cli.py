@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,19 @@ class TestParseFrame:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read {frame}: 'utf-8' codec can't decode")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "core", "check", "classify", "naimark", "double"])
+    @pytest.mark.parametrize(
+        "text", ['{"dim": 2, "vectors": [[1e308, 0.0], [0.0, 1.0]]}', "1e308 0\n0 1\n"],
+        ids=["json", "plain"],
+    )
+    def test_huge_finite_entry_is_one_error_line(self, monkeypatch, capsys, text, command):
+        # Squaring 1e308 overflows; the norm check must neither warn nor name inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(monkeypatch, capsys, [command, "-"], stdin=text)
+        assert (code, out) == (2, "")
+        assert err == "error: row 0 has norm 1e+308, more than 1e-06 from 1\n"
 
 
 class TestReport:

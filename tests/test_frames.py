@@ -20,6 +20,7 @@ from framecore import (
     gram,
     is_equiangular,
     is_etf,
+    isolable_set,
     mub_r2,
     naimark_complement,
     neighbor_count_report,
@@ -98,7 +99,7 @@ class TestGram:
         sys_ = random_unit_system(np.random.default_rng(seed), m, n)
         V, G, S = sys_.vectors, gram(sys_).entries, frame_operator(sys_)
         assert np.array_equal(G, G.T) and np.array_equal(S, S.T)
-        assert np.array_equal(G, V @ V.T)  # the coherence pass restores the diagonal
+        assert np.array_equal(G, V @ V.T)  # the kept G is the one product, untouched
 
 
 def _over_one() -> np.ndarray:
@@ -121,7 +122,7 @@ def _coherence_cases() -> dict[str, np.ndarray]:
 
 
 class TestCoherence:
-    """``coherence(X)`` and ``gram(X).coherence`` are one value kept on the system."""
+    """``coherence(X)`` is the one packing angle; every reader of the system gets that float."""
 
     CASES = _coherence_cases()
 
@@ -133,9 +134,7 @@ class TestCoherence:
         assert gram(first).coherence == alone
         second = UnitVectorSystem.from_vectors(rows)
         kept = gram(second).coherence
-        assert coherence(second) == kept
-        if len(rows) <= 256:  # one block, which is V V^T itself: the same float either way
-            assert alone == kept
+        assert coherence(second) == kept == alone
         G = rows @ rows.T
         np.fill_diagonal(G, 0.0)
         assert abs(alone - min(float(np.abs(G).max()), 1.0)) <= 1e-15
@@ -146,6 +145,14 @@ class TestCoherence:
         for rows in (np.vstack([x, x]), np.vstack([x, -x])):
             for read in (coherence, lambda X: gram(X).coherence):
                 assert read(UnitVectorSystem.from_vectors(rows)) == 1.0
+
+    def test_one_value_whichever_stage_reads_it_first(self):
+        # Two row blocks, whose gemm maximum can differ in the last bits from that of
+        # the one syrk product V V^T held in G: every reader must get the blocks' value.
+        rows = random_unit_system(np.random.default_rng(0), 260, 398).vectors
+        alone = coherence(UnitVectorSystem.from_vectors(rows))
+        for read in (gram, bounds_card, isolable_set):
+            assert read(UnitVectorSystem.from_vectors(rows)).coherence == alone
 
     def test_one_vector_has_coherence_zero(self):
         assert coherence(UnitVectorSystem.from_vectors([[0.6, 0.8]])) == 0.0

@@ -1,7 +1,7 @@
 """Memory regression tests: frame emission holds one row of text at a time,
-the Gram matrix is computed, and read for equiangularity, with no m x m
-temporary beside it, and the coherence, the Naimark complement and the
-``double`` command form no m x m array at all.
+the Gram matrix is computed with no m x m temporary beside it, and the
+coherence, the equiangularity test, the bound card, the Naimark complement
+and the ``double`` command form no m x m array at all.
 
 Peaks are read with tracemalloc, which numpy reports its buffers to, so they
 repeat exactly from run to run.
@@ -13,8 +13,10 @@ import os
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from framecore import (
+    bounds_card,
     coherence,
     emit_frame,
     gram,
@@ -69,6 +71,16 @@ def test_coherence_without_a_kept_gram_holds_one_block():
     # One block of 256 rows of V V^T: 256 * 2000 * 8 bytes = 3.91 MiB; the
     # whole Gram matrix would be 30.5 MiB.
     assert peak <= 256 * 2000 * 8 + 64 * KIB
+
+
+@pytest.mark.parametrize("reduction", [is_equiangular, bounds_card])
+def test_frame_wide_reductions_form_no_gram(reduction):
+    system = random_unit_system(np.random.default_rng(0), 2000, 12)
+    peak = _peak_bytes(lambda: reduction(system))
+    # One block of 256 rows of V V^T at a time: 256 * 2000 * 8 bytes = 3.91 MiB,
+    # where the Gram matrix would be 30.5 MiB.
+    assert peak <= 256 * 2000 * 8 + 64 * KIB
+    assert "_gram" not in system.__dict__
 
 
 def test_naimark_holds_one_completion_basis_and_row_blocks():
