@@ -1,6 +1,7 @@
 """What a command-line child executes: entry points, lazy package names, and
 the modules each command runs."""
 
+import gc
 import json
 import os
 import subprocess
@@ -44,8 +45,9 @@ ANALYSIS = ("analyze", "core", "classify", "check")
 TRANSFORMS = ("naimark", "double")
 
 
-def _child(args, **kwargs):
+def _child(args, env_extra=None, **kwargs):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, **kwargs
     )
@@ -193,3 +195,59 @@ def test_python_dash_m_runs_the_cli(module, monkeypatch, capsys):
     assert code == 0 and done.stdout
     done = _child(["-m", module, "construct", "circular", "--m", "1"])
     assert done.returncode == 2 and done.stderr.startswith("error: construct circular")
+
+
+# Launches ``main`` the way a benchmark child does: an atexit hook registered
+# before the CLI is imported, which writes the collector's freeze count.
+CONSOLE = """\
+import atexit, gc, os, sys
+
+def _hook():
+    with open(os.environ["HOOK_FILE"], "w", encoding="ascii") as out:
+        out.write(str(gc.get_freeze_count()))
+
+atexit.register(_hook)
+from framecore.cli import main
+sys.argv[0] = "framecore"
+main()
+"""
+
+
+@pytest.fixture(scope="module")
+def antipodal_path(tmp_path_factory):
+    # ±e1 share one line: check fails (exit 4).
+    path = tmp_path_factory.mktemp("frames") / "antipodal.txt"
+    path.write_text("1 0\n-1 0\n0 1\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("analyze", 0), ("unknown flag", 1), ("missing file", 2), ("check failed", 4)
+])
+def test_console_exit_matches_run_and_runs_atexit_hooks(
+    case, expected, frame_path, antipodal_path, tmp_path, capsys
+):
+    argv = {
+        "analyze": ["analyze", frame_path],
+        "unknown flag": ["analyze", "--no-such-flag", frame_path],
+        "missing file": ["analyze", str(tmp_path / "missing.json")],
+        "check failed": ["check", antipodal_path],
+    }[case]
+    hook_file = tmp_path / "freeze_count"
+    done = _child(["-c", CONSOLE, *argv], env_extra={"HOOK_FILE": str(hook_file)})
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == expected
+    assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+    # The hook ran, and main had frozen the collector: shutdown collects nothing it tracked.
+    assert int(hook_file.read_text(encoding="ascii")) > 0
+
+
+@COMMANDS
+def test_run_leaves_the_collector_alone(argv, frame_path, capsys):
+    if argv[0] in ANALYSIS + TRANSFORMS:
+        argv = argv + [frame_path]
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
