@@ -40,7 +40,6 @@ from .frames import (
     TightnessVerdict,
     UnitVectorSystem,
     coherence,
-    gram,
     neighbors,
     spectral_data,
 )
@@ -136,13 +135,14 @@ def _perturb_search(
     )
 
 
-def _tangent_neighbors(
-    system: UnitVectorSystem, i: int, nb: NeighborSet, G: np.ndarray
-) -> np.ndarray:
-    """Projected signed neighbors u_y = Proj_{x-perp}(s_y y), one row each."""
-    idx = list(nb.indices)
+def _tangent_neighbors(system: UnitVectorSystem, i: int, nb: NeighborSet) -> np.ndarray:
+    """Projected signed neighbors u_y = Proj_{x-perp}(s_y y), one row each.
+
+    <x, y> is read from the row V x_i that ``neighbors`` read the band from.
+    """
+    V, idx = system.vectors, list(nb.indices)
     s = np.asarray(nb.signs, dtype=float)
-    return s[:, None] * system.vectors[idx] - (s * G[i, idx])[:, None] * system.vectors[i]
+    return s[:, None] * V[idx] - (s * (V @ V[i])[idx])[:, None] * V[i]
 
 
 def _deficiency_witness(x: np.ndarray, complement: np.ndarray) -> np.ndarray:
@@ -166,15 +166,9 @@ def _deficiency_witness(x: np.ndarray, complement: np.ndarray) -> np.ndarray:
     w = z - (z @ x) * x
     norm = float(np.linalg.norm(w))
     if norm <= 1e-12:
-        # x parallel to z would put x orthogonal to its own neighbors,
-        # impossible at a positive coherence level; fall back defensively.
-        for row in complement:
-            w = row - (row @ x) * x
-            norm = float(np.linalg.norm(w))
-            if norm > 1e-12:
-                break
-        else:
-            raise VerificationError("no tangent deficiency direction found")
+        # Unreachable: z is orthogonal to each neighbor y, so ||w|| >= |<x, y>|,
+        # which is within neighbor_abs of alpha > neighbor_abs.
+        raise VerificationError("no tangent deficiency direction found")
     return w / norm
 
 
@@ -216,7 +210,7 @@ def classify_vector(
         status = DEFICIENT_ISOLABLE
         witness = _deficiency_witness(system.vectors[i], complement)
     else:
-        tangent = _tangent_neighbors(system, i, nb, gram(system).entries)
+        tangent = _tangent_neighbors(system, i, nb)
         try:
             result = nnls_cone_feasible(tangent, -np.sum(tangent, axis=0), tol)
         except IterationLimit as exc:

@@ -1,18 +1,17 @@
 """Unit-norm vector systems and their packing structure.
 
 The central object is :class:`UnitVectorSystem`: m unit vectors in R^n,
-stored one per row.  On top of it live the Gram matrix and coherence, the
-level-alpha neighbor sets, the frame operator with its spectrum, tightness
-and equiangularity predicates, the Welch/orthoplex/Gerzon bound card, and
-frame reconstruction.  The coherence, the Gram matrix, the frame
-operator and its spectrum are computed once per system, on first use, and
-kept on it, so every stage shares the same values and read-only arrays.
-G = V V^T and S = V^T V are exactly symmetric as computed (numpy
-multiplies a matrix by its own transpose with one symmetric rank-k
-update), so neither is re-symmetrized.  The coherence and the
-equiangularity test read the row blocks of ``gram_blocks``, never G, so
-the coherence is one float whichever stage asks first, and G serves only
-the neighbor rows.
+stored one per row.  On top of it live the coherence and the Gram matrix,
+the level-alpha neighbor sets, the frame operator with its spectrum,
+tightness and equiangularity predicates, the Welch/orthoplex/Gerzon bound
+card, and frame reconstruction.  The coherence, the frame operator and its
+spectrum are computed once per system, on first use, and kept on it, so
+every stage shares the same values and read-only arrays; S = V^T V is
+exactly symmetric as computed (one symmetric rank-k update), so it is not
+re-symmetrized.  Nothing m x m is kept: the coherence reads the row blocks
+of ``gram_blocks``, and vector i's neighbor band, which is all that
+equiangularity and the isolability analysis need of G, is read from its
+own row V x_i, computed where it is read.
 """
 
 from __future__ import annotations
@@ -53,10 +52,10 @@ class UnitVectorSystem:
 
     ``from_vectors`` and ``restrict`` make ``vectors`` read-only, and no
     attribute can be rebound, so the data derived from them never goes
-    stale: the Gram matrix, the coherence, the frame operator and its
-    spectrum are computed on first use and kept on the system (read them
-    through ``gram``, ``coherence``, ``frame_operator`` and
-    ``spectral_data``).  A restricted subsystem computes its own.
+    stale: the coherence, the frame operator and its spectrum are computed
+    on first use and kept on the system (read them through ``coherence``,
+    ``frame_operator`` and ``spectral_data``).  A restricted subsystem
+    computes its own.  No m x m array is kept.
     """
 
     def __init__(self, vectors: np.ndarray, labels: tuple[str, ...] | None = None, warnings=()):
@@ -126,13 +125,6 @@ class UnitVectorSystem:
         return UnitVectorSystem(sub, labels, ())
 
     @cached_property
-    def _gram(self) -> GramMatrix:
-        coherence = self._coherence  # first, so that its block is freed before G is formed
-        G = self.vectors @ self.vectors.T
-        G.flags.writeable = False
-        return GramMatrix(G, coherence)
-
-    @cached_property
     def _coherence(self) -> float:
         # Rounding can push |<x, y>| of (near-)parallel unit vectors past 1.
         return min(max(map(off_diagonal_max, gram_blocks(self.vectors))), 1.0)
@@ -158,7 +150,7 @@ class GramMatrix(NamedTuple):
 
 
 class NeighborSet(NamedTuple):
-    """Vector ``owner``'s band at |inner product| = level, read from its Gram row.
+    """Vector ``owner``'s band at |inner product| = level, read from its row V x_owner.
 
     ``indices`` are the j != owner with | |G_ij| - level | <= neighbor_abs, with
     ``signs`` of their G_ij; ``near_ties`` the j != owner one to two neighbor_abs
@@ -209,8 +201,16 @@ def welch_bound(m: int, n: int) -> float:
 
 
 def gram(system: UnitVectorSystem) -> GramMatrix:
-    """Gram matrix and coherence of the system (computed once per system)."""
-    return system._gram
+    """Gram matrix V V^T and the coherence, computed on each call and kept nowhere.
+
+    No command calls it; it is the reference product the neighbor rows agree
+    with.  The coherence is read first, so its row block is freed before G
+    is formed.
+    """
+    alpha = coherence(system)
+    G = system.vectors @ system.vectors.T
+    G.flags.writeable = False
+    return GramMatrix(G, alpha)
 
 
 def coherence(system: UnitVectorSystem) -> float:
@@ -218,26 +218,24 @@ def coherence(system: UnitVectorSystem) -> float:
 
     The one definition of the packing angle: read from the row blocks of
     ``gram_blocks``, so no m x m array is formed, and kept on the system.
-    ``gram(system).coherence`` is this float, whichever is asked first.
+    ``gram(system).coherence`` is this float.
     """
     return system._coherence
 
 
 def neighbors(
-    system: UnitVectorSystem,
-    i: int,
-    level: float,
-    tol: Tolerances = DEFAULT_TOL,
-    gram_matrix: GramMatrix | None = None,
+    system: UnitVectorSystem, i: int, level: float, tol: Tolerances = DEFAULT_TOL
 ) -> NeighborSet:
-    """Vector i's whole ``NeighborSet`` from one | |G_ij| - level | pass over its Gram row.
-
-    The row is read from ``gram_matrix``, the system's own by default."""
+    """Vector i's whole ``NeighborSet`` from one | |G_ij| - level | pass over its row V x_i."""
     if not 0 <= i < system.size:
         raise ShapeError(f"index {i} out of range")
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"level must lie in [0, 1], got {level}")
-    row = (gram_matrix or gram(system)).entries[i]
+    return _band(i, system.vectors @ system.vectors[i], level, tol)
+
+
+def _band(i: int, row: np.ndarray, level: float, tol: Tolerances) -> NeighborSet:
+    """The ``NeighborSet`` of owner i read from ``row``, its inner products with every vector."""
     size = np.abs(row)
     size[i] = -np.inf  # outside every band, and below none of the others
     gap = np.abs(size - level)
@@ -349,20 +347,23 @@ def tightness(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> Tightn
 def is_equiangular(
     system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, float | None]:
-    """Whether coherence - min_{i!=j} |G_ij| <= neighbor_abs: every neighbor set
-    at the coherence then holds the other m - 1 vectors.
+    """Whether every neighbor set at the coherence holds the other m - 1 vectors.
 
-    Returns (flag, angle); the angle reported is the coherence.  The minimum,
-    diagonal included (1 up to rounding, it never lowers the minimum past the
-    band), is read like the coherence from ``gram_blocks``, one at a time.
+    Returns (flag, angle); the angle reported is the coherence.  Row i is
+    V x_i, the row ``neighbors`` reads, so the flag is the neighbor sets'
+    own verdict to the last bit; the first row with a | |G_ij| - alpha |
+    past neighbor_abs decides False.
     """
     if system.size < 2:
         raise ShapeError("equiangularity needs at least two vectors")
     alpha = coherence(system)
-    low = min(map(lambda block: float(np.abs(block, out=block).min()), gram_blocks(system.vectors)))
-    if alpha - low <= tol.neighbor_abs:
-        return True, alpha
-    return False, None
+    V = system.vectors
+    for i, x in enumerate(V):
+        gap = np.abs(np.abs(V @ x) - alpha)
+        gap[i] = 0.0
+        if gap.max() > tol.neighbor_abs:
+            return False, None
+    return True, alpha
 
 
 def etf_verdict(tight: TightnessVerdict, equiangular: bool, card: BoundsCard) -> bool:

@@ -125,7 +125,7 @@ def analysis(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> Analysi
 
     Tightness, equiangularity, the bounds card and ``core`` run once; the
     ETF flag and the diagnostics read their verdicts (the neighbor sets and
-    ranks of the core's) instead of deciding them again.  The Gram matrix,
+    ranks of the core's) instead of deciding them again.  The coherence,
     the frame operator and its spectrum are computed once and kept on the
     system.
     """
@@ -155,11 +155,11 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
     supplies ``vectors``.  When the two ETF routes disagree, ``etf`` is
     null and the disagreement is a warning.
 
-    The report holds O(m n) numbers, not the m x m Gram matrix (that is
-    ``gram(system)``): each entry of ``vectors`` lists its level-alpha
-    ``neighbors`` with their ``signs`` in the order the certificate
-    weights use, so every certificate and witness can be checked from the
-    input rows and the report alone.
+    The report holds O(m n) numbers, and building it holds no m x m array:
+    each vector's neighbor band is read from its own row V x_i.  Each entry
+    of ``vectors`` lists its level-alpha ``neighbors`` with their ``signs``
+    in the order the certificate weights use, so every certificate and
+    witness can be checked from the input rows and the report alone.
     """
     m, n = system.size, system.dim
     facts = analysis(system, tol)

@@ -88,8 +88,8 @@ def test_03_tripod_regression_pins_second_stage():
     assert verdict.neighbor_rank == X.dim  # not deficient
 
     gm = gram(X)
-    nb = neighbors(X, 0, gm.coherence, tol, gram_matrix=gm)
-    tangent = _tangent_neighbors(X, 0, nb, gm.entries)
+    nb = neighbors(X, 0, gm.coherence, tol)
+    tangent = _tangent_neighbors(X, 0, nb)
     point, _ = min_norm_point(tangent, tol)
     assert float(np.linalg.norm(point)) <= tol.hull_abs  # min-norm stage returns 0
 

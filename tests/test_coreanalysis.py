@@ -46,7 +46,7 @@ from framecore.coreanalysis import (
     _tangent_neighbors,
 )
 from framecore.errors import NonFinite, SearchFailed, ValidationError
-from framecore.frames import GramMatrix, neighbors
+from framecore.frames import _band, coherence, neighbors
 from framecore.numerics import (
     DEFAULT_TOL,
     min_norm_point,
@@ -84,9 +84,8 @@ class TestClassifyTripodExample:
     def test_stage_decomposition(self):
         # First stage: the projected signed neighbors have 0 in their hull.
         X = tripod_example(0.5)
-        gm = gram(X)
-        nb = neighbors(X, 0, gm.coherence, DEFAULT_TOL, gram_matrix=gm)
-        tangent = _tangent_neighbors(X, 0, nb, gm.entries)
+        nb = neighbors(X, 0, coherence(X), DEFAULT_TOL)
+        tangent = _tangent_neighbors(X, 0, nb)
         point, _ = min_norm_point(tangent)
         assert np.linalg.norm(point) <= DEFAULT_TOL.hull_abs
         # Second stage: the positive-spanning test fails at target -e1 and
@@ -148,9 +147,8 @@ class TestClassifyBasisPlusDiagonal:
         # signed neighbors: they positively span the tangent space
         assert v.certificate.shape == (3,)
         assert v.certificate.min() > 0.0
-        gm = gram(X)
-        nb = neighbors(X, 3, gm.coherence, DEFAULT_TOL, gram_matrix=gm)
-        tangent = np.array(_tangent_neighbors(X, 3, nb, gm.entries))
+        nb = neighbors(X, 3, coherence(X), DEFAULT_TOL)
+        tangent = np.array(_tangent_neighbors(X, 3, nb))
         assert np.linalg.norm(v.certificate @ tangent) <= DEFAULT_TOL.hull_abs
 
     def test_deficient_perturbation_beats_level(self):
@@ -212,13 +210,10 @@ class TestClassifyEdgeCases:
         rng = np.random.default_rng(9)
         alpha, tol = 0.3, DEFAULT_TOL
         gaps = tol.neighbor_abs * np.array([0.5, 1.0, 1.5, 2.0, 2.5, -1.5, -2.0, -3.0])
-        system = random_unit_system(np.random.default_rng(0), 12, 3)
         for _ in range(20):
             row = rng.choice((-1.0, 1.0), 12) * (alpha + rng.choice(gaps, 12))
             i = int(rng.integers(12))
-            G = np.zeros((12, 12))
-            G[i] = row
-            nb = neighbors(system, i, alpha, tol, gram_matrix=GramMatrix(G, 1.0))
+            nb = _band(i, row, alpha, tol)
             assert nb.near_ties == reference(row, i, alpha, tol)
 
 
@@ -549,7 +544,7 @@ class TestClassificationProperties:
             if gm.coherence <= tol.neighbor_abs:
                 continue
             for i in range(m):
-                nb = neighbors(X, i, gm.coherence, tol, gram_matrix=gm)
+                nb = neighbors(X, i, gm.coherence, tol)
                 verdict = classify_vector(X, i, tol)
                 if not nb.indices:
                     assert verdict.status == ISOLATED
@@ -572,8 +567,8 @@ class TestClassificationProperties:
                 if v.status != DEFICIENT_ISOLABLE:
                     continue
                 seen += 1
-                nb = neighbors(X, v.index, gm.coherence, tol, gram_matrix=gm)
-                tangent = _tangent_neighbors(X, v.index, nb, gm.entries)
+                nb = neighbors(X, v.index, gm.coherence, tol)
+                tangent = _tangent_neighbors(X, v.index, nb)
                 assert max(float(v.witness @ u) for u in tangent) <= 1e-10
                 point, _ = min_norm_point(tangent, tol)
                 if np.linalg.norm(point) > tol.hull_abs:
@@ -998,15 +993,14 @@ def test_tangent_neighbors_equal_the_per_neighbor_loop():
     systems += [random_unit_system(rng, 12, 3) for _ in range(3)]
     checked = 0
     for X in systems:
-        gm = gram(X)
         for i in range(X.size):
-            nb = neighbors(X, i, gm.coherence, DEFAULT_TOL, gram_matrix=gm)
+            nb = neighbors(X, i, coherence(X), DEFAULT_TOL)
             x = X.vectors[i]
             loop = [
-                s * X.vectors[j] - (s * gm.entries[i, j]) * x
+                s * X.vectors[j] - (s * (X.vectors @ x)[j]) * x
                 for j, s in zip(nb.indices, nb.signs)
             ]
-            got = _tangent_neighbors(X, i, nb, gm.entries)
+            got = _tangent_neighbors(X, i, nb)
             assert got.shape == (len(nb.indices), X.dim)
             assert np.array_equal(got, np.array(loop).reshape(got.shape))
             checked += len(loop)

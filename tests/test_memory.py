@@ -1,7 +1,8 @@
 """Memory regression tests: frame emission holds one row of text at a time,
 the Gram matrix is computed with no m x m temporary beside it, and the
-coherence, the equiangularity test, the bound card, the Naimark complement
-and the ``double`` command form no m x m array at all.
+coherence, the equiangularity test, the bound card, the analysis, check
+and core reports, the Naimark complement and the ``double`` command form no
+m x m array at all.
 
 Peaks are read with tracemalloc, which numpy reports its buffers to, so they
 repeat exactly from run to run.
@@ -26,6 +27,8 @@ from framecore import (
     write_frame,
 )
 from framecore.cli import run
+from framecore.numerics import DEFAULT_TOL
+from framecore.report import build_analysis_report, build_check_report, build_core_report
 from helpers import random_unit_system
 
 KIB = 1024
@@ -59,9 +62,9 @@ def test_gram_holds_no_m_by_m_temporary():
 
 def test_is_equiangular_holds_no_m_by_m_temporary():
     system = random_unit_system(np.random.default_rng(0), 2000, 12)
-    gram(system)  # 30.5 MiB, computed before the measurement
+    gram(system)  # 30.5 MiB, computed and dropped before the measurement; the coherence stays
     peak = _peak_bytes(lambda: is_equiangular(system))
-    # One block of 256 rows of |G|: 256 * 2000 * 8 bytes = 3.91 MiB.
+    # One row V x_i at a time, well inside one block of 256 rows: 256 * 2000 * 8 bytes = 3.91 MiB.
     assert peak <= 256 * 2000 * 8 + 64 * KIB
 
 
@@ -81,6 +84,17 @@ def test_frame_wide_reductions_form_no_gram(reduction):
     # where the Gram matrix would be 30.5 MiB.
     assert peak <= 256 * 2000 * 8 + 64 * KIB
     assert "_gram" not in system.__dict__
+
+
+@pytest.mark.parametrize("build", [build_analysis_report, build_check_report, build_core_report])
+def test_reports_hold_no_gram(build):
+    m = 2000
+    system = random_unit_system(np.random.default_rng(0), m, 12)
+    peak = _peak_bytes(lambda: build(system, DEFAULT_TOL))
+    # One 256-row block of V V^T for the coherence, 256 * 2000 * 8 bytes =
+    # 3.91 MiB; each neighbor band reads one row V x_i.  A kept Gram matrix
+    # would be 30.5 MiB.
+    assert peak <= 256 * m * 8 + 256 * KIB
 
 
 def test_naimark_holds_one_completion_basis_and_row_blocks():

@@ -97,34 +97,16 @@ def test_fields_cannot_be_assigned_or_added(name):
 
 def test_unit_vector_system_attributes_cannot_be_rebound():
     X = fc.six_in_r4()
-    G = fc.gram(X)
+    spec = fc.spectral_data(X)
     for name in ("vectors", "labels", "warnings", "extra"):
         with pytest.raises(AttributeError):
             setattr(X, name, None)
     for name in ("vectors", "labels", "warnings"):
         with pytest.raises(AttributeError):
             delattr(X, name)
-    assert fc.gram(X) is G
+    assert fc.spectral_data(X) is spec
     same = fc.UnitVectorSystem(X.vectors, X.labels, X.warnings)
     assert (same.vectors, same.labels, same.warnings) == (X.vectors, X.labels, X.warnings)
-
-
-def test_unit_vector_system_computes_its_gram_once(monkeypatch):
-    calls = []
-    compute = fc.UnitVectorSystem._gram.func
-
-    def counted(self):
-        calls.append(self)
-        return compute(self)
-
-    prop = functools.cached_property(counted)
-    prop.__set_name__(fc.UnitVectorSystem, "_gram")
-    monkeypatch.setattr(fc.UnitVectorSystem, "_gram", prop)
-    X = fc.six_in_r4()
-    first = fc.gram(X)
-    assert fc.gram(X) is first and fc.gram(X).entries is first.entries
-    fc.build_analysis_report(X)
-    assert sum(system is X for system in calls) == 1
 
 
 class TestValidatedRecords:
