@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateComplement, NotScalable, VerificationError
-from .frames import UnitVectorSystem, spectral_data, welch_bound
+from .frames import UnitVectorSystem, coherence, spectral_data, welch_bound
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
@@ -121,8 +121,9 @@ def naimark_complement(
     <y_i, y_j> = <x_i, x_j> / (1 - lambda) for i != j, hence
     coh(Y) = coh(X) / (lambda - 1).  Both identities are verified to 1e-8
     on the returned vectors before returning, from one pass over the
-    ``gram_blocks`` of X X^T and Y Y^T: no m x m array is formed,
-    and the (m + n - k)^2 completed basis is freed once Y is cut from it.
+    ``gram_blocks`` of X X^T and Y Y^T, which also gives both coherences to
+    ``coherence``: no m x m array is formed, and the (m + n - k)^2 completed
+    basis is freed once Y is cut from it.
 
     Raises NotScalable when lambda <= 1 + eq_abs (e.g. an orthonormal
     basis) and DegenerateComplement when m = k.
@@ -149,9 +150,11 @@ def naimark_complement(
     del Y
     blocks = map(_relation_block, gram_blocks(system.vectors), gram_blocks(out.vectors), repeat(lam))
     coh_in, coh_out, relation = (max(part) for part in zip(*blocks))
+    system._keep_coherence(coh_in)
+    out._keep_coherence(coh_out)
     if relation > 1e-8:
         raise VerificationError(f"Gram relation violated by {relation:.3e}")
-    if abs(min(coh_out, 1.0) - min(coh_in, 1.0) / (lam - 1.0)) > 1e-8:
+    if abs(coherence(out) - coherence(system) / (lam - 1.0)) > 1e-8:
         raise VerificationError("coherence relation violated")
     return out, lam, k
 

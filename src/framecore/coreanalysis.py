@@ -135,14 +135,14 @@ def _perturb_search(
     )
 
 
-def _tangent_neighbors(system: UnitVectorSystem, i: int, nb: NeighborSet) -> np.ndarray:
+def _tangent_neighbors(system: UnitVectorSystem, i: int, nb: NeighborSet, row) -> np.ndarray:
     """Projected signed neighbors u_y = Proj_{x-perp}(s_y y), one row each.
 
-    <x, y> is read from the row V x_i that ``neighbors`` read the band from.
+    <x, y> is read from ``row``, the row V x_i that ``neighbors`` read the band from.
     """
     V, idx = system.vectors, list(nb.indices)
     s = np.asarray(nb.signs, dtype=float)
-    return s[:, None] * V[idx] - (s * (V @ V[i])[idx])[:, None] * V[i]
+    return s[:, None] * V[idx] - (s * row[idx])[:, None] * V[i]
 
 
 def _deficiency_witness(x: np.ndarray, complement: np.ndarray) -> np.ndarray:
@@ -190,7 +190,10 @@ def classify_vector(
     iteration cap yields ``indeterminate`` rather than a guess.
     """
     alpha = coherence(system)
-    nb = neighbors(system, i, alpha, tol)
+    if not 0 <= i < system.size:
+        raise ShapeError(f"index {i} out of range")
+    row = system.vectors @ system.vectors[i]  # read by the band and the tangent vectors
+    nb = neighbors(system, i, alpha, tol, row)
     warnings = tuple(f"|G[{i},{j}]| is within 2x neighbor_abs of the coherence; "
                      "classification is tolerance-sensitive here" for j in nb.near_ties)
     span_basis, complement = (
@@ -210,7 +213,7 @@ def classify_vector(
         status = DEFICIENT_ISOLABLE
         witness = _deficiency_witness(system.vectors[i], complement)
     else:
-        tangent = _tangent_neighbors(system, i, nb)
+        tangent = _tangent_neighbors(system, i, nb, row)
         try:
             result = nnls_cone_feasible(tangent, -np.sum(tangent, axis=0), tol)
         except IterationLimit as exc:

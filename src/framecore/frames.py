@@ -129,6 +129,10 @@ class UnitVectorSystem:
         # Rounding can push |<x, y>| of (near-)parallel unit vectors past 1.
         return min(max(map(off_diagonal_max, gram_blocks(self.vectors))), 1.0)
 
+    def _keep_coherence(self, block_max: float) -> None:
+        """Keep ``block_max``, max ``off_diagonal_max`` over ``gram_blocks``, as the coherence."""
+        self.__dict__.setdefault("_coherence", min(block_max, 1.0))
+
     @cached_property
     def _frame_operator(self) -> np.ndarray:
         S = self.vectors.T @ self.vectors
@@ -224,14 +228,15 @@ def coherence(system: UnitVectorSystem) -> float:
 
 
 def neighbors(
-    system: UnitVectorSystem, i: int, level: float, tol: Tolerances = DEFAULT_TOL
+    system: UnitVectorSystem, i: int, level: float, tol: Tolerances = DEFAULT_TOL, row=None
 ) -> NeighborSet:
-    """Vector i's whole ``NeighborSet`` from one | |G_ij| - level | pass over its row V x_i."""
+    """Vector i's whole ``NeighborSet`` from one | |G_ij| - level | pass over its row
+    V x_i, computed here unless the caller passes it as ``row``."""
     if not 0 <= i < system.size:
         raise ShapeError(f"index {i} out of range")
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"level must lie in [0, 1], got {level}")
-    return _band(i, system.vectors @ system.vectors[i], level, tol)
+    return _band(i, system.vectors @ system.vectors[i] if row is None else row, level, tol)
 
 
 def _band(i: int, row: np.ndarray, level: float, tol: Tolerances) -> NeighborSet:

@@ -149,8 +149,9 @@ def row_space(M, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]
     return rows[:r], rows[r:]
 
 
-# Height of the row blocks in which an m x m product is read, never held whole.
-BLOCK_ROWS = 256
+# Height of the row blocks in which an m x m product is read, never held whole:
+# a block is at most 64 m doubles, 0.5 MiB per 1000 vectors.
+BLOCK_ROWS = 64
 
 
 def gram_blocks(V: np.ndarray):

@@ -89,7 +89,7 @@ def test_03_tripod_regression_pins_second_stage():
 
     gm = gram(X)
     nb = neighbors(X, 0, gm.coherence, tol)
-    tangent = _tangent_neighbors(X, 0, nb)
+    tangent = _tangent_neighbors(X, 0, nb, X.vectors @ X.vectors[0])
     point, _ = min_norm_point(tangent, tol)
     assert float(np.linalg.norm(point)) <= tol.hull_abs  # min-norm stage returns 0
 

@@ -45,7 +45,7 @@ from framecore.coreanalysis import (
     CoreTrace,
     _tangent_neighbors,
 )
-from framecore.errors import NonFinite, SearchFailed, ValidationError
+from framecore.errors import NonFinite, SearchFailed, ShapeError, ValidationError
 from framecore.frames import _band, coherence, neighbors
 from framecore.numerics import (
     DEFAULT_TOL,
@@ -85,7 +85,7 @@ class TestClassifyTripodExample:
         # First stage: the projected signed neighbors have 0 in their hull.
         X = tripod_example(0.5)
         nb = neighbors(X, 0, coherence(X), DEFAULT_TOL)
-        tangent = _tangent_neighbors(X, 0, nb)
+        tangent = _tangent_neighbors(X, 0, nb, X.vectors @ X.vectors[0])
         point, _ = min_norm_point(tangent)
         assert np.linalg.norm(point) <= DEFAULT_TOL.hull_abs
         # Second stage: the positive-spanning test fails at target -e1 and
@@ -148,7 +148,7 @@ class TestClassifyBasisPlusDiagonal:
         assert v.certificate.shape == (3,)
         assert v.certificate.min() > 0.0
         nb = neighbors(X, 3, coherence(X), DEFAULT_TOL)
-        tangent = np.array(_tangent_neighbors(X, 3, nb))
+        tangent = np.array(_tangent_neighbors(X, 3, nb, X.vectors @ X.vectors[3]))
         assert np.linalg.norm(v.certificate @ tangent) <= DEFAULT_TOL.hull_abs
 
     def test_deficient_perturbation_beats_level(self):
@@ -568,7 +568,7 @@ class TestClassificationProperties:
                     continue
                 seen += 1
                 nb = neighbors(X, v.index, gm.coherence, tol)
-                tangent = _tangent_neighbors(X, v.index, nb)
+                tangent = _tangent_neighbors(X, v.index, nb, X.vectors @ X.vectors[v.index])
                 assert max(float(v.witness @ u) for u in tangent) <= 1e-10
                 point, _ = min_norm_point(tangent, tol)
                 if np.linalg.norm(point) > tol.hull_abs:
@@ -1000,8 +1000,15 @@ def test_tangent_neighbors_equal_the_per_neighbor_loop():
                 s * X.vectors[j] - (s * (X.vectors @ x)[j]) * x
                 for j, s in zip(nb.indices, nb.signs)
             ]
-            got = _tangent_neighbors(X, i, nb)
+            got = _tangent_neighbors(X, i, nb, X.vectors @ x)
             assert got.shape == (len(nb.indices), X.dim)
             assert np.array_equal(got, np.array(loop).reshape(got.shape))
             checked += len(loop)
     assert checked > 100
+
+
+def test_classify_vector_rejects_an_index_outside_the_system():
+    X = six_in_r4()
+    for i in (-1, X.size):
+        with pytest.raises(ShapeError):
+            classify_vector(X, i)

@@ -36,7 +36,7 @@ from framecore import (
 from framecore import frames
 from framecore.report import build_check_report
 from framecore.errors import NormError, NotAFrame, ShapeError
-from framecore.numerics import row_space
+from framecore.numerics import BLOCK_ROWS, gram_blocks, row_space
 from helpers import count_calls, random_unit_system, tripod_example
 
 
@@ -113,6 +113,11 @@ def _coherence_cases() -> dict[str, np.ndarray]:
         f"gauss-{m}x{n}": random_unit_system(np.random.default_rng(seed), m, n).vectors
         for seed, (m, n) in enumerate([(2, 2), (7, 3), (40, 6), (256, 4), (300, 12), (600, 5)])
     }
+    # One block either side of each of the first two block edges (BLOCK_ROWS = 64).
+    cases.update(
+        (f"gauss-{m}x5", random_unit_system(np.random.default_rng(m), m, 5).vectors)
+        for m in (63, 64, 65, 128, 129)
+    )
     cases["simplex-8"] = simplex_etf(8).vectors
     cases["duplicate"] = np.vstack([x, x, random_unit_system(np.random.default_rng(4), 3, 5).vectors])
     cases["antipodal"] = np.vstack([x, -x])
@@ -138,6 +143,24 @@ class TestCoherence:
         G = rows @ rows.T
         np.fill_diagonal(G, 0.0)
         assert abs(alone - min(float(np.abs(G).max()), 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("rows", CASES.values(), ids=CASES.keys())
+    def test_gram_blocks_reach_every_pair_once(self, rows):
+        m = len(rows)
+        G = rows @ rows.T
+        seen = np.zeros((m, m), dtype=int)
+        block_max = 0.0
+        for b, block in enumerate(gram_blocks(rows)):
+            k = b * BLOCK_ROWS
+            h = min(BLOCK_ROWS, m - k)
+            assert block.shape == (h, m - k)
+            assert np.allclose(block, G[k:k + h, k:], rtol=0.0, atol=1e-15)
+            upper = np.triu_indices(h, 1, m - k)  # pairs i < j, at [i - k, j - k]
+            seen[upper[0] + k, upper[1] + k] += 1
+            off = ~np.eye(h, m - k, dtype=bool)
+            block_max = max(block_max, float(np.abs(block[off]).max(initial=0.0)))
+        assert np.array_equal(seen, np.triu(np.ones((m, m), dtype=int), 1))
+        assert coherence(UnitVectorSystem(rows)) == min(block_max, 1.0)
 
     def test_duplicate_and_antipodal_rows_are_capped_at_one(self):
         x = _over_one()

@@ -2,7 +2,8 @@
 the Gram matrix is computed with no m x m temporary beside it, and the
 coherence, the equiangularity test, the bound card, the analysis, check
 and core reports, the Naimark complement and the ``double`` command form no
-m x m array at all.
+m x m array at all: the largest transient is one block of ``gram_blocks``,
+BLOCK_ROWS x m, and the bounds follow that constant.
 
 Peaks are read with tracemalloc, which numpy reports its buffers to, so they
 repeat exactly from run to run.
@@ -11,23 +12,27 @@ repeat exactly from run to run.
 import contextlib
 import io
 import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from framecore import (
+    UnitVectorSystem,
     bounds_card,
     coherence,
     emit_frame,
     gram,
     is_equiangular,
     naimark_complement,
+    parse_frame,
     simplex_etf,
     write_frame,
 )
 from framecore.cli import run
-from framecore.numerics import DEFAULT_TOL
+from framecore.frameio import round15
+from framecore.numerics import BLOCK_ROWS, DEFAULT_TOL, gram_blocks
 from framecore.report import build_analysis_report, build_check_report, build_core_report
 from helpers import random_unit_system
 
@@ -64,25 +69,26 @@ def test_is_equiangular_holds_no_m_by_m_temporary():
     system = random_unit_system(np.random.default_rng(0), 2000, 12)
     gram(system)  # 30.5 MiB, computed and dropped before the measurement; the coherence stays
     peak = _peak_bytes(lambda: is_equiangular(system))
-    # One row V x_i at a time, well inside one block of 256 rows: 256 * 2000 * 8 bytes = 3.91 MiB.
-    assert peak <= 256 * 2000 * 8 + 64 * KIB
+    # One row V x_i at a time and its band arithmetic, a few arrays of m doubles
+    # (2000 * 8 bytes = 15.6 KiB each); no block of V V^T is read.
+    assert peak <= 8 * 2000 * 8 + 64 * KIB
 
 
 def test_coherence_without_a_kept_gram_holds_one_block():
     system = random_unit_system(np.random.default_rng(0), 2000, 12)
     peak = _peak_bytes(lambda: coherence(system))
-    # One block of 256 rows of V V^T: 256 * 2000 * 8 bytes = 3.91 MiB; the
+    # One block of BLOCK_ROWS rows of V V^T: 64 * 2000 * 8 bytes = 0.98 MiB; the
     # whole Gram matrix would be 30.5 MiB.
-    assert peak <= 256 * 2000 * 8 + 64 * KIB
+    assert peak <= BLOCK_ROWS * 2000 * 8 + 64 * KIB
 
 
 @pytest.mark.parametrize("reduction", [is_equiangular, bounds_card])
 def test_frame_wide_reductions_form_no_gram(reduction):
     system = random_unit_system(np.random.default_rng(0), 2000, 12)
     peak = _peak_bytes(lambda: reduction(system))
-    # One block of 256 rows of V V^T at a time: 256 * 2000 * 8 bytes = 3.91 MiB,
-    # where the Gram matrix would be 30.5 MiB.
-    assert peak <= 256 * 2000 * 8 + 64 * KIB
+    # One block of BLOCK_ROWS rows of V V^T at a time: 64 * 2000 * 8 bytes =
+    # 0.98 MiB, where the Gram matrix would be 30.5 MiB.
+    assert peak <= BLOCK_ROWS * 2000 * 8 + 64 * KIB
     assert "_gram" not in system.__dict__
 
 
@@ -91,10 +97,11 @@ def test_reports_hold_no_gram(build):
     m = 2000
     system = random_unit_system(np.random.default_rng(0), m, 12)
     peak = _peak_bytes(lambda: build(system, DEFAULT_TOL))
-    # One 256-row block of V V^T for the coherence, 256 * 2000 * 8 bytes =
-    # 3.91 MiB; each neighbor band reads one row V x_i.  A kept Gram matrix
-    # would be 30.5 MiB.
-    assert peak <= 256 * m * 8 + 256 * KIB
+    # One BLOCK_ROWS-row block of V V^T for the coherence, 64 * 2000 * 8 bytes =
+    # 0.98 MiB, and the report's own objects, under 1 KiB per vector (1.6 MiB
+    # for the analysis report); each neighbor band reads one row V x_i.  A kept
+    # Gram matrix would be 30.5 MiB.
+    assert peak <= BLOCK_ROWS * m * 8 + m * KIB
 
 
 def test_naimark_holds_one_completion_basis_and_row_blocks():
@@ -103,9 +110,10 @@ def test_naimark_holds_one_completion_basis_and_row_blocks():
     big = m + n - 1  # the completed basis is N x N, N = m + n - k, with k = 1 here
     peak = _peak_bytes(lambda: naimark_complement(system))
     # At most two N x N arrays at once (the SVD's V^T and its sign-fixed C-ordered
-    # copy), or later the m x (m - k) output next to the basis or beside one
-    # 256-row block pair of the Gram check; no m x m Gram matrix.
-    assert peak <= 2 * big * big * 8 + m * (m - 1) * 8 + 256 * m * 8
+    # copy), or later the m x (m - k) output next to the basis (N^2 > m (m - k))
+    # or beside one BLOCK_ROWS-row block pair of the Gram check; no m x m Gram
+    # matrix.  Here the two bases, 2.58 MiB, set the peak.
+    assert peak <= max(2 * big * big, m * (m - 1) + 2 * BLOCK_ROWS * m) * 8 + 128 * KIB
 
 
 def test_double_command_forms_no_gram_of_its_output(tmp_path):
@@ -120,7 +128,40 @@ def test_double_command_forms_no_gram_of_its_output(tmp_path):
     double()  # loads the modules the command executes
     peak = _peak_bytes(double)
     # The (2m)^2 Gram matrix of the output would be 2000 * 2000 * 8 bytes =
-    # 30.5 MiB.  The summary's coherence reads one 256-row block of it,
-    # 256 * 2000 * 8 bytes = 3.91 MiB, beside the 2m x 2n output (0.37 MiB) and
-    # at most 2 MiB of frame text and parsed rows.
-    assert peak <= 256 * 2 * m * 8 + 2 * m * 2 * n * 8 + 2048 * KIB
+    # 30.5 MiB.  The summary's coherence reads one BLOCK_ROWS-row block of it,
+    # 64 * 2000 * 8 bytes = 0.98 MiB, beside the 2m x 2n output (0.37 MiB) and
+    # at most 1 MiB of frame text and parsed rows.
+    assert peak <= BLOCK_ROWS * 2 * m * 8 + 2 * m * 2 * n * 8 + 1024 * KIB
+
+
+def test_gram_blocks_hold_at_most_4_mb_at_m_8000():
+    # 64 rows of V V^T at m = 8000 are 4,096,000 bytes, where V V^T is 512 MB.
+    V = random_unit_system(np.random.default_rng(0), 8000, 2).vectors
+    assert max(block.nbytes for block in gram_blocks(V)) <= 64 * 8000 * 8
+
+
+def test_naimark_command_reads_three_gram_block_streams(tmp_path, monkeypatch):
+    # The completion's orthonormality check reads one stream and the Gram-relation
+    # check one each of X X^T and Y Y^T; the summary's two coherences come from
+    # the relation check, not from two more streams.
+    system = random_unit_system(np.random.default_rng(0), 200, 12)
+    path = tmp_path / "frame.json"
+    path.write_text(emit_frame(system))
+    streams = []
+
+    def counted(V):
+        streams.append(len(V))
+        return gram_blocks(V)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "framecore" and getattr(module, "gram_blocks", None) is gram_blocks:
+            monkeypatch.setattr(module, "gram_blocks", counted)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run(["naimark", str(path), "--out", os.devnull]) == 0
+    assert len(streams) == 3
+    monkeypatch.undo()
+    # The kept values are those ``coherence`` computes on fresh systems.
+    X = parse_frame(path.read_text())
+    Y = naimark_complement(parse_frame(path.read_text()))[0]
+    fresh = [coherence(UnitVectorSystem(S.vectors)) for S in (X, Y)]
+    assert f"coherence {round15(fresh[0])} -> {round15(fresh[1])}\n" in err.getvalue()
