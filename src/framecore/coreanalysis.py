@@ -39,6 +39,7 @@ from .frames import (
     NeighborSet,
     TightnessVerdict,
     UnitVectorSystem,
+    _band,
     coherence,
     neighbors,
     spectral_data,
@@ -138,7 +139,7 @@ def _perturb_search(
 def _tangent_neighbors(system: UnitVectorSystem, i: int, nb: NeighborSet, row) -> np.ndarray:
     """Projected signed neighbors u_y = Proj_{x-perp}(s_y y), one row each.
 
-    <x, y> is read from ``row``, the row V x_i that ``neighbors`` read the band from.
+    <x, y> is read from ``row``, the row V x_i that the band ``nb`` was read from.
     """
     V, idx = system.vectors, list(nb.indices)
     s = np.asarray(nb.signs, dtype=float)
@@ -193,7 +194,7 @@ def classify_vector(
     if not 0 <= i < system.size:
         raise ShapeError(f"index {i} out of range")
     row = system.vectors @ system.vectors[i]  # read by the band and the tangent vectors
-    nb = neighbors(system, i, alpha, tol, row)
+    nb = _band(i, row, alpha, tol)
     warnings = tuple(f"|G[{i},{j}]| is within 2x neighbor_abs of the coherence; "
                      "classification is tolerance-sensitive here" for j in nb.near_ties)
     span_basis, complement = (

@@ -228,15 +228,14 @@ def coherence(system: UnitVectorSystem) -> float:
 
 
 def neighbors(
-    system: UnitVectorSystem, i: int, level: float, tol: Tolerances = DEFAULT_TOL, row=None
+    system: UnitVectorSystem, i: int, level: float, tol: Tolerances = DEFAULT_TOL
 ) -> NeighborSet:
-    """Vector i's whole ``NeighborSet`` from one | |G_ij| - level | pass over its row
-    V x_i, computed here unless the caller passes it as ``row``."""
+    """Vector i's whole ``NeighborSet`` from one | |G_ij| - level | pass over its row V x_i."""
     if not 0 <= i < system.size:
         raise ShapeError(f"index {i} out of range")
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"level must lie in [0, 1], got {level}")
-    return _band(i, system.vectors @ system.vectors[i] if row is None else row, level, tol)
+    return _band(i, system.vectors @ system.vectors[i], level, tol)
 
 
 def _band(i: int, row: np.ndarray, level: float, tol: Tolerances) -> NeighborSet:

@@ -918,7 +918,8 @@ class TestEachFactDecidedOnce:
     def test_one_neighbors_query_per_classification(self, monkeypatch, run):
         for X in self._frames():
             with monkeypatch.context() as mp:
-                queries = count_calls(mp, neighbors)
+                # Every band is read by frames._band, through ``neighbors`` or directly.
+                queries = count_calls(mp, _band)
                 classified = count_calls(mp, coreanalysis.classify_vector)
                 etf = count_calls(mp, is_etf)
                 run(X, DEFAULT_TOL)

