@@ -13,10 +13,8 @@ __version__ = "0.1.0"
 
 # public name -> submodule that defines it
 _HOMES = {
+    "angles": ("AngleCatalogEntry", "angle_catalog", "catalog_consistency"),
     "constructions": (
-        "AngleCatalogEntry",
-        "angle_catalog",
-        "catalog_consistency",
         "circular_frame",
         "double",
         "mub_r2",
@@ -28,13 +26,15 @@ _HOMES = {
     "coreanalysis": (
         "CoreTrace",
         "VectorVerdict",
-        "classify_n_plus_2",
         "classify_vector",
         "core",
-        "eigen_span_diagnostic",
         "isolable_set",
-        "neighbor_count_report",
         "perturb_replace",
+    ),
+    "diagnostics": (
+        "classify_n_plus_2",
+        "eigen_span_diagnostic",
+        "neighbor_count_report",
         "tight_grassmannian_diagnostic",
         "validate_core",
     ),

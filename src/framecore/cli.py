@@ -23,11 +23,12 @@ import sys
 import types
 
 # The package executes a submodule on its first attribute access: the analysis
-# commands never execute ``constructions``, nor the transforms the analysis.
-from . import constructions, report, text
+# commands never execute ``constructions``, the transforms never the analysis,
+# and only ``catalog`` executes ``angles``.
+from . import angles, constructions, report, text
 from .errors import NumericalError, ValidationError
 from .frames import UnitVectorSystem, coherence, tightness
-from .frameio import emit_json, parse_frame_with_overrides, round15, write_frame
+from .frameio import parse_frame_with_overrides, round15, write_frame, write_json
 from .numerics import Tolerances
 
 EXIT_OK = 0
@@ -163,8 +164,11 @@ def _write(args, write) -> None:
 
 def _emit(args, payload: dict, view: str) -> None:
     """Write the payload as JSON, or as the ``text`` module's view named ``view``."""
-    rendered = report.emit_report(payload) if args.format == "json" else getattr(text, view)(payload)
-    _write(args, lambda out: out.write(rendered))
+    if args.format == "json":
+        _write(args, lambda out: write_json(payload, out))
+    else:
+        rendered = getattr(text, view)(payload)
+        _write(args, lambda out: out.write(rendered))
 
 
 def _cmd_analyze(args) -> int:
@@ -238,7 +242,7 @@ def _cmd_construct(args) -> int:
 def _cmd_catalog(args) -> int:
     if args.n < 2 or args.m <= args.n:
         raise ValidationError(f"catalog needs m > n >= 2, got m={args.m}, n={args.n}")
-    entries = constructions.angle_catalog(args.m, args.n)
+    entries = angles.angle_catalog(args.m, args.n)
     if args.format == "text":
         text = "".join(f"{e.kind} ({e.rule}): {e.value:.12g}\n" for e in entries)
         _write(args, lambda out: out.write(text or "unknown\n"))
@@ -251,7 +255,7 @@ def _cmd_catalog(args) -> int:
             {"kind": e.kind, "rule": e.rule, "value": round15(e.value)} for e in entries
         ],
     }
-    _write(args, lambda out: out.write(emit_json(payload)))  # catalog runs no analysis
+    _write(args, lambda out: write_json(payload, out))  # catalog runs no analysis
     return EXIT_OK
 
 

@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import io
 import json
+from itertools import islice
 
 import numpy as np
 
 from .errors import ParseError, ShapeError
 from .frames import UnitVectorSystem
 from .numerics import Tolerances
+
+# encoder chunks joined per write by ``write_json``
+JSON_BATCH = 4096
 
 
 def round15(x: float) -> float:
@@ -121,9 +125,25 @@ def _parse_structured(text: str) -> tuple[UnitVectorSystem, dict]:
     return UnitVectorSystem.from_vectors(np.array(rows), labels=labels), overrides
 
 
+def write_json(payload, out: io.TextIOBase) -> None:
+    """Write the JSON text of a report or other payload, indent 2 and newline-terminated.
+
+    The bytes are those of ``json.dumps(payload, indent=2) + "\n"``.  The
+    encoder's chunks are written joined in batches of ``JSON_BATCH``, so the
+    text is never held whole and an unbuffered stream is not written once
+    per chunk.
+    """
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(islice(chunks, JSON_BATCH)):
+        out.write(batch)
+    out.write("\n")
+
+
 def emit_json(payload) -> str:
-    """The JSON text of a report or other payload: indent 2, newline-terminated."""
-    return json.dumps(payload, indent=2) + "\n"
+    """The text that ``write_json`` writes for the payload."""
+    buffer = io.StringIO()
+    write_json(payload, buffer)
+    return buffer.getvalue()
 
 
 def _coordinate(v: float) -> str:

@@ -17,20 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coreanalysis import (
-    EIGEN_SPAN_ABS,
-    CoreTrace,
-    CoreValidation,
-    EigenSpanReport,
-    check_row,
-    classify_vector,
-    core,
-    eigen_span_diagnostic,
-    isolable_set,
-    neighbor_count_report,
-    tight_grassmannian_diagnostic,
-    validate_core,
-)
+from . import diagnostics  # executed by ``analysis`` alone: ``core`` and ``classify`` never run it
+from .coreanalysis import CoreTrace, classify_vector, core, isolable_set
 from .errors import InconsistentVerdict
 from .frames import (
     WELCH_EQ_ABS,
@@ -115,9 +103,9 @@ class Analysis(NamedTuple):
     etf_disagreement: str | None
     trace: CoreTrace
     neighbor_counts: tuple[tuple[str, str, str], ...]
-    eigen_span: EigenSpanReport
+    eigen_span: diagnostics.EigenSpanReport
     tight_n_plus_2: tuple[str, str, str]
-    core_validation: CoreValidation
+    core_validation: diagnostics.CoreValidation
 
 
 def analysis(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> Analysis:
@@ -140,10 +128,10 @@ def analysis(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> Analysi
     trace = core(system, tol)
     return Analysis(
         tight, equiangular, card, etf, disagreement, trace,
-        neighbor_count_report(trace, tight.tight, equiangular[0]),
-        eigen_span_diagnostic(system, trace, tol),
-        tight_grassmannian_diagnostic(system, tight),
-        validate_core(system, trace, tol),
+        diagnostics.neighbor_count_report(trace, tight.tight, equiangular[0]),
+        diagnostics.eigen_span_diagnostic(system, trace, tol),
+        diagnostics.tight_grassmannian_diagnostic(system, tight),
+        diagnostics.validate_core(system, trace, tol),
     )
 
 
@@ -177,7 +165,7 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
         ok = all(drop_one)
         detail = ("every single-vector deletion leaves a spanning set" if ok
                   else "some deletion breaks spanning")
-        drop = check_row("drop_one_spanning", ok, detail)
+        drop = diagnostics.check_row("drop_one_spanning", ok, detail)
 
     eig_span = facts.eigen_span
     return {
@@ -232,7 +220,7 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
                 "multiplicity": eig_span.multiplicity,
                 "distances": [list(map(round15, d)) for d in eig_span.distances],
                 "detail": eig_span.detail,
-                "tolerance": _num(EIGEN_SPAN_ABS),
+                "tolerance": _num(diagnostics.EIGEN_SPAN_ABS),
             },
             "tight_grassmannian": _checks([facts.tight_n_plus_2])[0],
             "core_validation": {"checks": _checks(facts.core_validation.checks)},
@@ -252,17 +240,17 @@ def build_check_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) 
     facts = analysis(system, tol)
     spanning = spans(system, tol=tol)
     checks: list[tuple[str, str, str]] = []
-    add = checks.append
+    add, row = checks.append, diagnostics.check_row
 
     warned = f" ({'; '.join(system.warnings)})" if system.warnings else ""
     add(("unit_norms", "PASS", "validated on load" + warned))
     trace_val = float(np.trace(frame_operator(system)))
     detail = f"trace = {trace_val!r}, expected m = {m} within 1e-8*m"
-    add(check_row("frame_operator_trace", abs(trace_val - m) <= 1e-8 * m, detail, None))
+    add(row("frame_operator_trace", abs(trace_val - m) <= 1e-8 * m, detail, None))
     if m > n and spanning:
         alpha, w = facts.bounds.coherence, facts.bounds.welch
         detail = f"coherence {alpha!r} vs welch {w!r} (slack 1e-9)"
-        add(check_row("welch_inequality", alpha >= w - 1e-9, detail, None))
+        add(row("welch_inequality", alpha >= w - 1e-9, detail, None))
     else:
         add(("welch_inequality", "SKIP", "needs m > n and a spanning system"))
     tight = facts.tightness
@@ -272,14 +260,14 @@ def build_check_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) 
     else:
         agree = facts.etf_disagreement is None
         detail = f"both routes agree: etf = {facts.etf}" if agree else facts.etf_disagreement
-        add(check_row("etf_route_consistency", agree, detail, None))
+        add(row("etf_route_consistency", agree, detail, None))
     checks += [(f"neighbor_counts.{c[0]}", *c[1:]) for c in facts.neighbor_counts]
     if spanning:
         target = np.zeros(n)
         target[0] = 1.0
         err = float(np.linalg.norm(reconstruct(system, target, tol) - target))
         detail = f"||reconstruct(e1) - e1|| = {err:.3e} (tolerance 1e-7)"
-        add(check_row("reconstruction_identity", err <= 1e-7, detail, None))
+        add(row("reconstruction_identity", err <= 1e-7, detail, None))
     else:
         add(("reconstruction_identity", "SKIP", "system does not span"))
     add(("eigen_span", facts.eigen_span.status, facts.eigen_span.detail))

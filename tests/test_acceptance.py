@@ -33,7 +33,7 @@ from framecore import (
     welch_bound,
 )
 from framecore.cli import run
-from framecore.constructions import GRASSMANNIAN_ALPHA, ONE_GRASSMANNIAN_MU
+from framecore.angles import GRASSMANNIAN_ALPHA, ONE_GRASSMANNIAN_MU
 from framecore.coreanalysis import (
     DEFICIENT_ISOLABLE,
     INDETERMINATE,

@@ -25,8 +25,8 @@ from framecore.coreanalysis import (
     CoreLevel,
     CoreTrace,
     VectorVerdict,
-    check_row,
 )
+from framecore.diagnostics import check_row
 from framecore.report import build_check_report
 from helpers import basis_plus_diagonal, near_tie, nudged_simplex, tripod_example
 

@@ -31,11 +31,11 @@ from framecore import (
 )
 from framecore import cli
 from framecore.cli import run
-from framecore.coreanalysis import EIGEN_SPAN_ABS
+from framecore.diagnostics import EIGEN_SPAN_ABS
 from framecore.errors import NormError, ParseError, ShapeError
-from framecore.frameio import parse_frame_with_overrides, round15
+from framecore.frameio import JSON_BATCH, emit_json, parse_frame_with_overrides, round15, write_json
 from framecore.frames import WELCH_EQ_ABS
-from framecore.report import build_check_report
+from framecore.report import build_check_report, build_classify_report, build_core_report
 from framecore.text import render_text
 from helpers import (
     basis_plus_diagonal,
@@ -43,6 +43,7 @@ from helpers import (
     nudged_simplex,
     random_unit_system,
     simplex_with_midpoints,
+    structured_family,
     tripod_example,
 )
 
@@ -233,6 +234,47 @@ class TestReport:
         report = build_analysis_report(UnitVectorSystem.from_vectors([[1.0, 0.0]]))
         assert report["etf"] is None
         assert report["equiangular"]["equiangular"] is None
+
+
+class TestWriteJson:
+    """``write_json`` writes the bytes of ``json.dumps(indent=2)`` in batches of chunks."""
+
+    @staticmethod
+    def _payloads():
+        systems = structured_family() + [
+            six_in_r4(), near_tie(), simplex_with_midpoints(6),
+            random_unit_system(np.random.default_rng(0), 200, 12),
+        ]
+        for system in systems:
+            yield build_analysis_report(system)
+            yield build_check_report(system)
+            yield build_core_report(system, Tolerances())
+            yield build_classify_report(system, Tolerances())
+
+    def test_bytes_are_those_of_json_dumps(self):
+        for payload in self._payloads():
+            expected = json.dumps(payload, indent=2) + "\n"
+            streamed = io.StringIO()
+            write_json(payload, streamed)
+            assert streamed.getvalue() == emit_json(payload) == emit_report(payload) == expected
+
+    def test_one_write_per_batch_of_chunks(self):
+        class Sink(list):
+            def write(self, text):
+                self.append(text)
+
+        payload = build_analysis_report(random_unit_system(np.random.default_rng(0), 200, 12))
+        chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload))
+        assert chunks > 2 * JSON_BATCH
+        sink = Sink()
+        write_json(payload, sink)
+        # Every full batch, the last partial one, then the newline: never one write per chunk.
+        assert len(sink) == -(-chunks // JSON_BATCH) + 1
+        assert sink[-1] == "\n"
+
+    def test_scalars_and_empty_payloads(self):
+        for payload in ({}, [], "é", 1.5, None, {"a": []}):
+            assert emit_json(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 def _json_report(system: UnitVectorSystem) -> dict:
@@ -781,14 +823,14 @@ class TestRotatedDuplicates:
         ]
 
 
-@pytest.mark.parametrize("command", ["construct", "naimark", "double"])
+@pytest.mark.parametrize("command", ["construct", "naimark", "double", "analyze"])
 def test_stdout_and_out_file_get_the_same_bytes(capsysbinary, tmp_path, command):
     if command == "construct":
         argv = ["construct", "simplex", "--n", "120"]
     else:
         frame = tmp_path / "gauss.json"
-        system = random_unit_system(np.random.default_rng(5), 100, 10)
-        frame.write_text(emit_frame(system), encoding="utf-8")
+        m = 400 if command == "analyze" else 100  # each output over 64 KiB
+        frame.write_text(emit_frame(random_unit_system(np.random.default_rng(5), m, 10)), encoding="utf-8")
         argv = [command, str(frame)]
     assert run(argv) == 0
     streamed = capsysbinary.readouterr().out

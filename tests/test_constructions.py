@@ -23,7 +23,7 @@ from framecore import (
     tightness,
     welch_bound,
 )
-from framecore.constructions import GRASSMANNIAN_ALPHA, ONE_GRASSMANNIAN_MU
+from framecore.angles import GRASSMANNIAN_ALPHA, ONE_GRASSMANNIAN_MU
 from framecore.errors import NotScalable
 from framecore.numerics import DEFAULT_TOL, SpectralData
 from helpers import random_unit_system

@@ -29,14 +29,10 @@ from framecore import (
     validate_core,
     welch_bound,
 )
-from framecore import coreanalysis
+from framecore import coreanalysis, diagnostics
 from framecore.report import build_check_report
 from framecore.coreanalysis import (
     DEFICIENT_ISOLABLE,
-    EQUIANGULAR_SUBSET,
-    FULL_CORE,
-    INAPPLICABLE,
-    INCONCLUSIVE,
     INDETERMINATE,
     ISOLABLE,
     ISOLATED,
@@ -45,6 +41,7 @@ from framecore.coreanalysis import (
     CoreTrace,
     _tangent_neighbors,
 )
+from framecore.diagnostics import EQUIANGULAR_SUBSET, FULL_CORE, INAPPLICABLE, INCONCLUSIVE
 from framecore.errors import NonFinite, SearchFailed, ShapeError, ValidationError
 from framecore.frames import _band, coherence, neighbors
 from framecore.numerics import (
@@ -845,7 +842,7 @@ class TestLevelVerdictsAreReused:
 
             with monkeypatch.context() as mp:
                 _forbid_recomputation(mp)
-                mp.setattr(coreanalysis, "row_space", recorded)
+                mp.setattr(diagnostics, "row_space", recorded)
                 rep = eigen_span_diagnostic(X, trace, tol)
             assert rep.status == status
             assert rep.multiplicity == len(expected[0])

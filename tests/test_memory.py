@@ -31,7 +31,7 @@ from framecore import (
     write_frame,
 )
 from framecore.cli import run
-from framecore.frameio import round15
+from framecore.frameio import emit_json, round15, write_json
 from framecore.numerics import BLOCK_ROWS, DEFAULT_TOL, gram_blocks
 from framecore.report import build_analysis_report, build_check_report, build_core_report
 from helpers import random_unit_system
@@ -56,6 +56,14 @@ def _peak_bytes(call) -> int:
 def test_write_frame_holds_one_row_of_text():
     system = simplex_etf(300)  # 2.3 MiB of frame text
     assert _peak_bytes(lambda: write_frame(system, _Discard())) <= 64 * KIB
+
+
+def test_write_json_holds_one_batch_of_text():
+    report = build_analysis_report(random_unit_system(np.random.default_rng(0), 2000, 12))
+    assert len(emit_json(report)) > 640 * KIB
+    # One batch of JSON_BATCH encoder chunks and their joined text, 0.38 MiB;
+    # json.dumps holds every chunk and the whole text, 3.9 MiB.
+    assert _peak_bytes(lambda: write_json(report, _Discard())) <= 512 * KIB
 
 
 def test_gram_holds_no_m_by_m_temporary():

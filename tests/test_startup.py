@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,8 @@ SUBMODULES = sorted(
 )
 
 # Imports the CLI in a fresh interpreter, runs one command and reports which
-# framecore modules are registered and which have executed, whether
+# framecore modules are registered and which have executed, the public names
+# whose home modules executed, whether
 # ``dataclasses`` is loaded, and which of the argument-parsing modules.  A
 # module whose execution LazyLoader defers keeps a ModuleType subclass until
 # its first attribute access runs it.
@@ -34,8 +36,10 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 executed = sorted(
     k for k, m in sys.modules.items() if k.startswith("framecore.") and type(m) is types.ModuleType
 )
+homes = {k.removeprefix("framecore.") for k in executed}
 print(json.dumps({
     "code": code, "registered": registered, "executed": executed,
+    "public": sorted(n for n, home in framecore._HOME.items() if home in homes),
     "dataclasses": "dataclasses" in sys.modules,
     "parsing": [m for m in %r if m in sys.modules],
 }))
@@ -43,6 +47,32 @@ print(json.dumps({
 
 ANALYSIS = ("analyze", "core", "classify", "check")
 TRANSFORMS = ("naimark", "double")
+
+# What every command executes: the shell, the frame reader and writer, and the
+# frame primitives.
+SHELL = {"cli", "errors", "frameio", "frames", "numerics"}
+# The modules each command executes beyond SHELL.
+RUNS = {
+    "analyze": {"coreanalysis", "diagnostics", "report"},
+    "check": {"coreanalysis", "diagnostics", "report"},
+    "core": {"coreanalysis", "report"},
+    "classify": {"coreanalysis", "report"},
+    "naimark": {"constructions"},
+    "double": {"constructions"},
+    "construct": {"constructions"},
+    "catalog": {"angles"},
+}
+# Public names by the part of the program they belong to: a command that does
+# not run them executes none of their code.
+DIAGNOSTICS = (
+    "classify_n_plus_2",
+    "eigen_span_diagnostic",
+    "neighbor_count_report",
+    "tight_grassmannian_diagnostic",
+    "validate_core",
+)
+ANGLES = ("AngleCatalogEntry", "angle_catalog", "catalog_consistency")
+CONSTRUCTIONS = ("circular_frame", "double", "naimark_complement", "simplex_etf")
 
 
 def _child(args, env_extra=None, **kwargs):
@@ -91,15 +121,18 @@ def test_each_command_executes_only_the_modules_it_runs(argv, probe):
     # Every module is registered at import, as code that walks sys.modules expects.
     assert probe["registered"] == [f"framecore.{m}" for m in SUBMODULES]
     executed = {name.removeprefix("framecore.") for name in probe["executed"]}
-    assert {"cli", "errors", "frameio", "frames", "numerics"} <= executed
     # The default JSON output never executes the text views.
-    assert "text" not in executed
-    if argv[0] in ANALYSIS:
-        assert "constructions" not in executed
-        assert {"coreanalysis", "report"} <= executed
-    else:
-        assert not executed & {"coreanalysis", "report"}
-        assert "constructions" in executed
+    assert executed == SHELL | RUNS[argv[0]]
+
+
+@COMMANDS
+def test_each_command_executes_only_the_code_it_runs(argv, probe):
+    # The core diagnostics and the packing-angle catalog live apart from the
+    # peeling and the transforms that the other commands run.
+    public = set(probe(argv)["public"])
+    assert public.isdisjoint(DIAGNOSTICS) is (argv[0] not in ("analyze", "check"))
+    assert public.isdisjoint(ANGLES) is (argv[0] != "catalog")
+    assert public.isdisjoint(CONSTRUCTIONS) is (argv[0] not in ("naimark", "double", "construct"))
 
 
 @pytest.mark.parametrize("command", ANALYSIS)
@@ -131,8 +164,9 @@ print(json.dumps([registered, at_import, executed()]))
     assert at_import == []
     # Reading one public name executes its home module and the modules that
     # home imports, and no other.
+    assert {"angles", "diagnostics"} <= set(registered)
     assert {"coreanalysis", "errors", "frames", "numerics"} <= set(after_core)
-    assert not set(after_core) & {"constructions", "report", "text"}
+    assert not set(after_core) & {"angles", "constructions", "diagnostics", "report", "text"}
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +285,28 @@ def test_run_leaves_the_collector_alone(argv, frame_path, capsys):
     assert run(argv) == 0
     capsys.readouterr()
     assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def _compile_peak(module: str) -> int:
+    """The tracemalloc peak of compiling ``module``'s source, in bytes."""
+    source = (SRC / "framecore" / f"{module}.py").read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        compile(source, f"{module}.py", "exec")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# A child run from source without bytecode (PYTHONDONTWRITEBYTECODE) keeps the
+# compiler's working set for the largest module it compiles after numpy loads.
+# Only __init__, cli, errors and frames compile before ``import numpy``, whose
+# import reuses that memory; every later module adds its own to the child's peak
+# RSS.  So none may take more to compile than frames.py (981 KiB on Python
+# 3.11.7).  One module holding the core peeling and its diagnostics takes
+# 1,169 KiB, and one holding the transforms and the angle catalog 902 KiB: with
+# those two, the small-batch benchmark's highest child (``analyze`` or ``check``)
+# peaked at 31.14 MB instead of 30.60 MB.
+@pytest.mark.parametrize("module", [m for m in SUBMODULES if m not in ("cli", "errors", "frames")])
+def test_no_module_compiled_after_numpy_needs_more_than_frames(module):
+    assert _compile_peak(module) <= _compile_peak("frames")
