@@ -1,13 +1,14 @@
 """Diagnostics of a core trace: what a coherence minimizer's core must satisfy.
 
-``core`` peels the isolable vectors off at the packing angle; the checks
-here read the trace it returns and classify nothing again.
-``validate_core`` checks the core's size and spanning neighbor sets,
-``classify_n_plus_2`` the n+2 dichotomy, ``tight_grassmannian_diagnostic``
-that no tight minimizer of n + 2 vectors exists for n > 2,
-``eigen_span_diagnostic`` where the top frame-operator eigenvector lies,
-and ``neighbor_count_report`` the parity of the neighbor counts of tight
-frames.  Every PASS/FAIL row comes from ``check_row``.
+``core`` peels the isolable vectors off at the packing angle.  Every check
+here is a function of the trace it returns plus the frame-level verdicts
+the trace cannot supply (tightness, the spectrum); none classifies again or
+reads a row V x_i.  ``validate_core`` checks the core's size and spanning
+neighbor sets, ``classify_n_plus_2`` the n+2 dichotomy,
+``tight_grassmannian_diagnostic`` that no tight minimizer of n + 2 vectors
+exists for n > 2, ``eigen_span_diagnostic`` where the top frame-operator
+eigenvector lies, and ``neighbor_count_report`` the parity of the neighbor
+counts of tight frames.  Every PASS/FAIL row comes from ``check_row``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coreanalysis import NOT_GRASSMANNIAN, CoreTrace, core
+from .coreanalysis import NOT_GRASSMANNIAN, CoreTrace
 from .frames import TightnessVerdict, UnitVectorSystem, coherence, spectral_data
 from .numerics import DEFAULT_TOL, Tolerances, row_space
 
@@ -37,18 +38,10 @@ def check_row(
     return (name, "FAIL", detail if failure is None else f"{detail}; {failure}")
 
 
-class CoreValidation(NamedTuple):
-    checks: tuple[tuple[str, str, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(status != "FAIL" for _, status, _ in self.checks)
-
-
 def validate_core(
     system: UnitVectorSystem, trace: CoreTrace, tol: Tolerances = DEFAULT_TOL
-) -> CoreValidation:
-    """Check the structural guarantees of the core of a genuine minimizer.
+) -> tuple[tuple[str, str, str], ...]:
+    """The ``(name, status, detail)`` rows of the core of a genuine minimizer.
 
     At coherence zero the core must be the whole system and the spanning
     check is skipped.  Otherwise the core must have at least n + 1 members
@@ -64,16 +57,16 @@ def validate_core(
     n, alpha0 = system.dim, coherence(system)
     if alpha0 <= tol.neighbor_abs:
         full = trace.core == tuple(range(system.size))
-        return CoreValidation((
+        return (
             check_row("orthogonal_case_full_core", full,
                       "coherence is zero, so the core must be the whole system"),
             ("core_neighbors_span", "SKIP", "spanning check skipped at coherence zero"),
-        ))
+        )
     size = check_row("core_size_at_least_n_plus_1", len(trace.core) >= n + 1,
                      f"|core| = {len(trace.core)}, n + 1 = {n + 1}")
     if not trace.core:
         span = check_row("core_neighbors_span", False, "core is empty", failure=None)
-        return CoreValidation((size, span))
+        return (size, span)
     final = trace.levels[-1]
     failures = [final.members[v.index] for v in final.verdicts if v.neighbor_rank < n]
     at = "at the packing angle"
@@ -81,7 +74,7 @@ def validate_core(
         at = f"at the core's coherence {final.coherence:.15g}, below the packing angle {alpha0:.15g}"
     detail = (f"core vectors {failures} lack spanning neighbor sets" if failures
               else f"every core vector meets a spanning family {at}")
-    return CoreValidation((size, check_row("core_neighbors_span", not failures, detail)))
+    return (size, check_row("core_neighbors_span", not failures, detail))
 
 
 FULL_CORE = "full_core"
@@ -98,23 +91,17 @@ class DichotomyVerdict(NamedTuple):
     warnings: tuple[str, ...]
 
 
-def classify_n_plus_2(
-    system: UnitVectorSystem,
-    tol: Tolerances = DEFAULT_TOL,
-    trace: CoreTrace | None = None,
-) -> DichotomyVerdict:
+def classify_n_plus_2(system: UnitVectorSystem, trace: CoreTrace) -> DichotomyVerdict:
     """For m = n + 2: either the core is everything or an equiangular n+1 set.
 
-    Inapplicable unless m = n + 2.  An n + 1 core is equiangular when each
-    member's neighbors in ``trace.levels[0]`` hold the other n.  Any other
-    outcome is inconclusive with a not-a-minimizer warning.  A precomputed
-    ``trace`` (``core(system, tol)``) is reused when given.
+    Inapplicable unless m = n + 2.  ``trace`` is ``core(system, tol)``: an
+    n + 1 core is equiangular when each member's neighbors in
+    ``trace.levels[0]`` hold the other n.  Any other outcome is
+    inconclusive with a not-a-minimizer warning.
     """
     m, n = system.size, system.dim
     if m != n + 2:
         return DichotomyVerdict(INAPPLICABLE, None, (f"m = {m} is not n + 2 = {n + 2}",))
-    if trace is None:
-        trace = core(system, tol)
     if trace.core == tuple(range(m)):
         return DichotomyVerdict(FULL_CORE, trace.core, trace.warnings)
     if len(trace.core) == n + 1:
@@ -208,25 +195,22 @@ def eigen_span_diagnostic(
     return EigenSpanReport(row[1], k, tuple(per_vector), row[2])
 
 
-def neighbor_count_report(
-    trace: CoreTrace, tight: bool, equiangular: bool | None
-) -> tuple[tuple[str, str, str], ...]:
+def neighbor_count_report(trace: CoreTrace, tight: bool) -> tuple[tuple[str, str, str], ...]:
     """Parity checks on the counts |x_X^alpha| at alpha = coherence.
 
     Level 0 of ``trace`` (``core(system, tol)``) supplies m and the counts,
-    its verdicts' ``neighbor_count``s; ``tight`` and ``equiangular`` (None
-    when m < 2) are the system's decided flags.  Unless the system is tight
-    and not equiangular (with m >= 2) the one row is a SKIP.  Otherwise
-    every count must be <= m - 2, and for odd m some count must be
-    <= m - 3; those facts hold for any tight unit-norm frame, so a FAIL
-    says the input or the tolerances are inconsistent, not that the input
-    is not Grassmannian.
+    its verdicts' ``neighbor_count``s; ``tight`` is the system's decided
+    flag.  The system is equiangular when the least count is m - 1.  Unless
+    it is tight and not equiangular (with m >= 2) the one row is a SKIP.  Otherwise every count
+    must be <= m - 2, and for odd m some count must be <= m - 3; those facts
+    hold for any tight unit-norm frame, so a FAIL says the input or the
+    tolerances are inconsistent, not that the input is not Grassmannian.
     """
     level0 = trace.levels[0]
     m = len(level0.members)
-    if m < 2 or not tight or equiangular:
-        return (("tight_nonequiangular_counts", "SKIP", "applies to tight non-ETF systems only"),)
     counts = [v.neighbor_count for v in level0.verdicts]
+    if m < 2 or not tight or min(counts) == m - 1:
+        return (("tight_nonequiangular_counts", "SKIP", "applies to tight non-ETF systems only"),)
     top, low = max(counts), min(counts)
     fits, parity = top <= m - 2, low <= m - 3
     rows = (check_row(

@@ -29,7 +29,6 @@ from .frames import (
     drop_one_spanning,
     etf_verdict,
     frame_operator,
-    is_equiangular,
     reconstruct,
     spans,
     spectral_data,
@@ -91,7 +90,8 @@ def verdict_dict(verdict) -> dict:
 class Analysis(NamedTuple):
     """The facts ``analyze`` and ``check`` both render, decided once per system.
 
-    ``equiangular`` is (None, None) and ``etf`` None when m < 2.  ``etf`` is
+    ``equiangular`` is ``is_equiangular``'s (flag, angle), read from level 0
+    of ``trace``; it is (None, None) and ``etf`` None when m < 2.  ``etf`` is
     also None when the tight+equiangular and Welch-equality routes disagree;
     ``etf_disagreement`` then holds the disagreement message.
     """
@@ -105,30 +105,32 @@ class Analysis(NamedTuple):
     neighbor_counts: tuple[tuple[str, str, str], ...]
     eigen_span: diagnostics.EigenSpanReport
     tight_n_plus_2: tuple[str, str, str]
-    core_validation: diagnostics.CoreValidation
+    core_validation: tuple[tuple[str, str, str], ...]
 
 
 def analysis(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> Analysis:
     """Decide the shared facts of one system.
 
-    Tightness, equiangularity, the bounds card and ``core`` run once; the
-    ETF flag and the diagnostics read their verdicts (the neighbor sets and
-    ranks of the core's) instead of deciding them again.  The coherence,
-    the frame operator and its spectrum are computed once and kept on the
-    system.
+    Tightness, the bounds card and ``core`` run once; each row V x_i is read
+    once, by level 0, whose neighbor sets decide equiangularity (each holds
+    the other m - 1 vectors).  The ETF flag and the diagnostics read these
+    verdicts (the neighbor sets and ranks of the core's) instead of deciding
+    them again.  The coherence, the frame operator and its spectrum are
+    computed once and kept on the system.
     """
     tight, card = tightness(system, tol), bounds_card(system)
+    trace, m = core(system, tol), system.size
     equiangular, etf, disagreement = (None, None), None, None
-    if system.size >= 2:
-        equiangular = is_equiangular(system, tol)
+    if m >= 2:
+        full = all(v.neighbor_count == m - 1 for v in trace.levels[0].verdicts)
+        equiangular = (full, card.coherence if full else None)
         try:
-            etf = etf_verdict(tight, equiangular[0], card)
+            etf = etf_verdict(tight, full, card)
         except InconsistentVerdict as exc:
             disagreement = str(exc)
-    trace = core(system, tol)
     return Analysis(
         tight, equiangular, card, etf, disagreement, trace,
-        diagnostics.neighbor_count_report(trace, tight.tight, equiangular[0]),
+        diagnostics.neighbor_count_report(trace, tight.tight),
         diagnostics.eigen_span_diagnostic(system, trace, tol),
         diagnostics.tight_grassmannian_diagnostic(system, tight),
         diagnostics.validate_core(system, trace, tol),
@@ -223,7 +225,7 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
                 "tolerance": _num(diagnostics.EIGEN_SPAN_ABS),
             },
             "tight_grassmannian": _checks([facts.tight_n_plus_2])[0],
-            "core_validation": {"checks": _checks(facts.core_validation.checks)},
+            "core_validation": {"checks": _checks(facts.core_validation)},
         },
         "warnings": warnings + list(level0.warnings),
     }
@@ -272,7 +274,7 @@ def build_check_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) 
         add(("reconstruction_identity", "SKIP", "system does not span"))
     add(("eigen_span", facts.eigen_span.status, facts.eigen_span.detail))
     add(facts.tight_n_plus_2)
-    checks += [(f"core_validation.{c[0]}", *c[1:]) for c in facts.core_validation.checks]
+    checks += [(f"core_validation.{c[0]}", *c[1:]) for c in facts.core_validation]
 
     return {
         "tolerances": tolerances_dict(tol),

@@ -117,8 +117,7 @@ def test_04_core_structure():
     for n in range(2, 7):
         assert core(simplex_etf(n)).core == tuple(range(n + 1))
     for system in (six_in_r4(), circular_frame(4)):
-        report = validate_core(system, core(system))
-        statuses = {name: status for name, status, _ in report.checks}
+        statuses = {name: status for name, status, _ in validate_core(system, core(system))}
         assert statuses["core_size_at_least_n_plus_1"] == "PASS"
         assert statuses["core_neighbors_span"] == "PASS"
     _ok(4, "core(ONB) = ONB; simplex cores full for n = 2..6; "

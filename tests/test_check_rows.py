@@ -69,7 +69,7 @@ class TestLabeledFailures:
     def test_core_size_and_span(self):
         # The core is the diagonal alone: one vector, no neighbors.
         X = basis_plus_diagonal()
-        rows = _rows(validate_core(X, core(X)).checks)
+        rows = _rows(validate_core(X, core(X)))
         for name in ("core_size_at_least_n_plus_1", "core_neighbors_span"):
             status, detail = rows[name]
             assert status == "FAIL" and _labeled_once(detail)
@@ -82,7 +82,7 @@ class TestLabeledFailures:
         X = UnitVectorSystem.from_vectors(np.eye(3))
         verdicts = core(X).levels[0].verdicts
         trace = CoreTrace((CoreLevel((0, 1, 2), (2,), 0.0, verdicts),), (0, 1), ())
-        status, detail = _rows(validate_core(X, trace).checks)["orthogonal_case_full_core"]
+        status, detail = _rows(validate_core(X, trace))["orthogonal_case_full_core"]
         assert status == "FAIL" and _labeled_once(detail)
         assert detail == f"coherence is zero, so the core must be the whole system{LABEL}"
 
@@ -102,7 +102,7 @@ class TestLabeledFailures:
         X = tripod_example(0.5)
         trace = core(X)
         assert trace.core == ()
-        rows = _rows(validate_core(X, trace).checks)
+        rows = _rows(validate_core(X, trace))
         assert _labeled_once(rows["core_size_at_least_n_plus_1"][1])
         assert rows["core_neighbors_span"] == ("FAIL", "core is empty")
 
@@ -110,14 +110,16 @@ class TestLabeledFailures:
 class TestUnlabeledFailures:
     @pytest.mark.parametrize("m", [3, 4])
     def test_neighbor_counts_keep_their_own_wording(self, m):
-        # Every vector lists all others as neighbors: impossible for a
-        # tight, non-equiangular frame, so both parity rows fail.
+        # Vector 0 meets m - 2 others and every other vector meets all m - 1:
+        # a full neighbor set is impossible for a tight, non-equiangular
+        # frame, so both parity rows fail.
         verdicts = tuple(
             VectorVerdict(i, NOT_ISOLABLE, neighbors=tuple(j for j in range(m) if j != i))
             for i in range(m)
         )
+        verdicts = (verdicts[0]._replace(neighbors=tuple(range(1, m - 1))),) + verdicts[1:]
         trace = CoreTrace((CoreLevel(tuple(range(m)), (), 0.5, verdicts),), tuple(range(m)), ())
-        rows = _rows(neighbor_count_report(trace, True, False))
+        rows = _rows(neighbor_count_report(trace, True))
         assert rows["max_count_le_m_minus_2"] == (
             "FAIL",
             f"max count {m - 1} > {m - 2}: tight non-equiangular systems cannot have a full "

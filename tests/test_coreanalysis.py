@@ -383,22 +383,22 @@ class TestCore:
 class TestValidateCore:
     def test_six_vector_frame_passes(self):
         X = six_in_r4()
-        report = validate_core(X, core(X))
-        assert report.passed
-        statuses = {name: status for name, status, _ in report.checks}
+        checks = validate_core(X, core(X))
+        assert all(status != "FAIL" for _, status, _ in checks)
+        statuses = {name: status for name, status, _ in checks}
         assert statuses["core_size_at_least_n_plus_1"] == "PASS"
         assert statuses["core_neighbors_span"] == "PASS"
 
     def test_circular_four_passes(self):
         X = circular_frame(4)
-        assert validate_core(X, core(X)).passed
+        assert all(status != "FAIL" for _, status, _ in validate_core(X, core(X)))
 
     def test_basis_plus_diagonal_fails_size(self):
         X = basis_plus_diagonal()
-        report = validate_core(X, core(X))
-        statuses = {name: status for name, status, _ in report.checks}
+        checks = validate_core(X, core(X))
+        statuses = {name: status for name, status, _ in checks}
         assert statuses["core_size_at_least_n_plus_1"] == "FAIL"
-        assert not report.passed
+        assert any(status == "FAIL" for _, status, _ in checks)
 
     def test_core_below_the_packing_angle_is_named(self):
         # The midpoints peel at level 0 and leave the simplex, whose own
@@ -408,7 +408,7 @@ class TestValidateCore:
         trace = core(X)
         alpha, core_alpha = gram(X).coherence, trace.levels[-1].coherence
         assert abs(core_alpha - 1.0 / 6.0) <= 1e-12 and alpha > 0.6
-        rows = {name: (status, detail) for name, status, detail in validate_core(X, trace).checks}
+        rows = {name: (status, detail) for name, status, detail in validate_core(X, trace)}
         status, detail = rows["core_neighbors_span"]
         assert status == "PASS"
         assert "at the packing angle" not in detail
@@ -420,23 +420,25 @@ class TestValidateCore:
 
     def test_orthonormal_basis_zero_branch(self):
         X = UnitVectorSystem.from_vectors(np.eye(3))
-        report = validate_core(X, core(X))
-        statuses = {name: status for name, status, _ in report.checks}
+        statuses = {name: status for name, status, _ in validate_core(X, core(X))}
         assert statuses["orthogonal_case_full_core"] == "PASS"
         assert statuses["core_neighbors_span"] == "SKIP"
 
 
 class TestDichotomy:
     def test_six_vector_frame_full_core(self):
-        verdict = classify_n_plus_2(six_in_r4())
+        X = six_in_r4()
+        verdict = classify_n_plus_2(X, core(X))
         assert verdict.kind == FULL_CORE
         assert verdict.indices == (0, 1, 2, 3, 4, 5)
 
     def test_circular_four_full_core(self):
-        assert classify_n_plus_2(circular_frame(4)).kind == FULL_CORE
+        X = circular_frame(4)
+        assert classify_n_plus_2(X, core(X)).kind == FULL_CORE
 
     def test_wrong_size_inapplicable(self):
-        assert classify_n_plus_2(circular_frame(5)).kind == INAPPLICABLE
+        X = circular_frame(5)
+        assert classify_n_plus_2(X, core(X)).kind == INAPPLICABLE
 
     def test_equiangular_subset_branch_with_given_trace(self):
         # No coherence minimizer with a strict core is known (that is the
@@ -877,7 +879,7 @@ class TestLevelVerdictsAreReused:
             expected = _core_span_reference(X, trace, tol)
             with monkeypatch.context() as mp:
                 _forbid_recomputation(mp)
-                checks = validate_core(X, trace, tol).checks
+                checks = validate_core(X, trace, tol)
             assert [c for c in checks if c[0] == "core_neighbors_span"] == [expected]
             lacking += "lack spanning neighbor sets" in expected[2]
         assert lacking == 2  # basis-plus-diagonal and near-tie
@@ -936,7 +938,7 @@ class TestEachFactDecidedOnce:
             assert {name: len(args) for name, args in calls.items()} == {
                 "tightness": 1,
                 "bounds_card": 1,
-                "is_equiangular": int(m >= 2),
+                "is_equiangular": 0,
                 "welch_bound": int(m > n),
                 "is_etf": 0,
             }
@@ -967,10 +969,10 @@ class TestEachFactDecidedOnce:
             alpha = gram(X).coherence
             counts = tuple(len(neighbors(X, i, alpha, tol).indices) for i in range(X.size))
             trace = core(X, tol)
-            tight, equiangular = tightness(X, tol).tight, is_equiangular(X, tol)[0]
+            tight = tightness(X, tol).tight
             with monkeypatch.context() as mp:
                 _forbid_recomputation(mp)
-                checks = neighbor_count_report(trace, tight, equiangular)
+                checks = neighbor_count_report(trace, tight)
             level0 = trace.levels[0]
             assert level0.coherence == alpha
             assert tuple(v.neighbor_count for v in level0.verdicts) == counts

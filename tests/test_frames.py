@@ -666,7 +666,7 @@ def _neighbor_counts(X):
     """Level-0 neighbor counts of X and ``neighbor_count_report``'s checks on them."""
     trace = core(X)
     counts = tuple(v.neighbor_count for v in trace.levels[0].verdicts)
-    return counts, neighbor_count_report(trace, tightness(X).tight, is_equiangular(X)[0])
+    return counts, neighbor_count_report(trace, tightness(X).tight)
 
 
 class TestNeighborCountReport:

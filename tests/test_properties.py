@@ -1,6 +1,7 @@
 """Property tests: verdicts follow row permutations and sign flips, ignore
-orthogonal rotations, and the core is a fixed point; frame files are
-written byte for byte as the JSON encoder writes them and read back exactly."""
+orthogonal rotations, and the core is a fixed point; level 0 of the core
+decides equiangularity as ``is_equiangular`` does; frame files are written
+byte for byte as the JSON encoder writes them and read back exactly."""
 
 import io
 import json
@@ -18,15 +19,19 @@ from framecore import (  # noqa: E402
     core,
     drop_one_spanning,
     emit_frame,
+    is_equiangular,
     isolable_set,
     mub_r2,
+    neighbor_count_report,
     parse_frame,
     simplex_etf,
     six_in_r4,
+    tightness,
     write_frame,
 )
 from framecore.errors import ShapeError  # noqa: E402
 from framecore.frameio import _coordinate, round15  # noqa: E402
+from framecore.report import analysis  # noqa: E402
 from helpers import basis_plus_diagonal, tripod_example  # noqa: E402
 
 # Derandomized so the suite is deterministic; no example database is written.
@@ -148,6 +153,22 @@ def test_core_is_idempotent(system):
         inner = core(system.restrict(members))
         assert inner.core == tuple(range(len(members)))
         assert len(inner.levels) == 1
+
+
+@PROPERTY
+@given(small_frames().filter(lambda system: system.size >= 2))
+@example(_DUPLICATES)
+@example(_IN_R1)
+@example(UnitVectorSystem.from_vectors(np.eye(3)))
+@example(circular_frame(5))
+def test_level0_decides_equiangularity_as_is_equiangular_does(system):
+    # is_equiangular's own loop and core's level-0 neighbor sets state one
+    # band rule twice; the flag, the angle and the parity gate must agree.
+    flag, angle = is_equiangular(system)
+    assert analysis(system).equiangular == (flag, angle)
+    tight = tightness(system).tight
+    rows = neighbor_count_report(core(system), tight)
+    assert (rows[0][1] == "SKIP") == (not tight or flag)
 
 
 def _reference_emit_frame(system):

@@ -30,7 +30,6 @@ FIELDS = {
     ),
     "CoreLevel": ("members", "removed", "coherence", "verdicts"),
     "CoreTrace": ("levels", "core", "warnings"),
-    "CoreValidation": ("checks",),
     "DichotomyVerdict": ("kind", "indices", "warnings"),
     "EigenSpanReport": ("status", "multiplicity", "distances", "detail"),
     "Analysis": (
@@ -60,7 +59,6 @@ def records() -> dict:
         fc.classify_vector(X, 0),
         fc.isolable_set(X),
         trace,
-        fc.validate_core(X, trace),
         fc.classify_n_plus_2(X, trace=trace),
         fc.eigen_span_diagnostic(X, trace),
         facts,
