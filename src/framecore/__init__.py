@@ -55,9 +55,8 @@ _HOMES = {
         "spans",
         "spectral_data",
         "tightness",
-        "welch_bound",
     ),
-    "frameio": ("emit_frame", "parse_frame", "write_frame"),
+    "frameio": ("emit_frame", "parse_frame", "welch_bound", "write_frame"),
     "numerics": (
         "ConeResult",
         "SpectralData",
@@ -69,7 +68,7 @@ _HOMES = {
         "row_space",
         "sym_eig",
     ),
-    "report": ("build_analysis_report", "build_check_report", "emit_report"),
+    "report": ("build_analysis_report", "build_check_report"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -6,7 +6,7 @@ import math
 from typing import NamedTuple
 
 from .errors import VerificationError
-from .frames import welch_bound
+from .frameio import welch_bound
 
 
 GRASSMANNIAN_ALPHA = "grassmannian_alpha"

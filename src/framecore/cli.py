@@ -24,12 +24,10 @@ import types
 
 # The package executes a submodule on its first attribute access: the analysis
 # commands never execute ``constructions``, the transforms never the analysis,
-# and only ``catalog`` executes ``angles``.
-from . import angles, constructions, report, text
+# only ``catalog`` executes ``angles``, and only the commands that read or
+# build a frame execute ``frames`` and ``numerics``, and so import numpy.
+from . import angles, constructions, frameio, frames, numerics, report, text
 from .errors import NumericalError, ValidationError
-from .frames import UnitVectorSystem, coherence, tightness
-from .frameio import parse_frame_with_overrides, round15, write_frame, write_json
-from .numerics import Tolerances
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,12 +125,12 @@ def _read_source(path: str) -> str:
         raise ValidationError(f"cannot read {'stdin' if path == '-' else path}: {exc}") from None
 
 
-def _load(args) -> tuple[UnitVectorSystem, Tolerances]:
-    system, values = parse_frame_with_overrides(_read_source(args.file))
+def _load(args) -> tuple[frames.UnitVectorSystem, numerics.Tolerances]:
+    system, values = frameio.parse_frame_with_overrides(_read_source(args.file))
     flags = {"eq_abs": args.tol_eq, "neighbor_abs": args.tol_neighbor, "hull_abs": args.tol_hull}
     values.update((name, value) for name, value in flags.items() if value is not None)
     try:
-        return system, Tolerances(**values)
+        return system, numerics.Tolerances(**values)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
 
@@ -165,7 +163,7 @@ def _write(args, write) -> None:
 def _emit(args, payload: dict, view: str) -> None:
     """Write the payload as JSON, or as the ``text`` module's view named ``view``."""
     if args.format == "json":
-        _write(args, lambda out: write_json(payload, out))
+        _write(args, lambda out: frameio.write_json(payload, out))
     else:
         rendered = getattr(text, view)(payload)
         _write(args, lambda out: out.write(rendered))
@@ -197,11 +195,12 @@ def _cmd_naimark(args) -> int:
     complement, lam, k = constructions.naimark_complement(system, tol)
     summary = (
         f"naimark complement: {complement.size} vectors in R^{complement.dim}, "
-        f"lambda={round15(lam)}, top multiplicity k={k}\n"
+        f"lambda={frameio.round15(lam)}, top multiplicity k={k}\n"
         f"verified: unit norms and Gram relation G_Y (1 - lambda) = G_X within 1e-8; "
-        f"coherence {round15(coherence(system))} -> {round15(coherence(complement))}\n"
+        f"coherence {frameio.round15(frames.coherence(system))} -> "
+        f"{frameio.round15(frames.coherence(complement))}\n"
     )
-    _write(args, lambda out: write_frame(complement, out))
+    _write(args, lambda out: frameio.write_frame(complement, out))
     _say(summary)
     return EXIT_OK
 
@@ -211,10 +210,11 @@ def _cmd_double(args) -> int:
     doubled = constructions.double(system)
     summary = (
         f"doubled: {doubled.size} vectors in R^{doubled.dim}; "
-        f"coherence {round15(coherence(system))} -> {round15(coherence(doubled))}; "
-        f"tightness {tightness(system, tol).kind} -> {tightness(doubled, tol).kind}\n"
+        f"coherence {frameio.round15(frames.coherence(system))} -> "
+        f"{frameio.round15(frames.coherence(doubled))}; "
+        f"tightness {frames.tightness(system, tol).kind} -> {frames.tightness(doubled, tol).kind}\n"
     )
-    _write(args, lambda out: write_frame(doubled, out))
+    _write(args, lambda out: frameio.write_frame(doubled, out))
     _say(summary)
     return EXIT_OK
 
@@ -235,7 +235,7 @@ def _cmd_construct(args) -> int:
             system = constructions.simplex_etf(args.n)
     except ValueError as exc:  # an out-of-range --m or --n
         raise ValidationError(f"construct {args.name}: {exc}") from None
-    _write(args, lambda out: write_frame(system, out))
+    _write(args, lambda out: frameio.write_frame(system, out))
     return EXIT_OK
 
 
@@ -247,15 +247,9 @@ def _cmd_catalog(args) -> int:
         text = "".join(f"{e.kind} ({e.rule}): {e.value:.12g}\n" for e in entries)
         _write(args, lambda out: out.write(text or "unknown\n"))
         return EXIT_OK
-    payload = {
-        "m": args.m,
-        "n": args.n,
-        "known": bool(entries),
-        "entries": [
-            {"kind": e.kind, "rule": e.rule, "value": round15(e.value)} for e in entries
-        ],
-    }
-    _write(args, lambda out: write_json(payload, out))  # catalog runs no analysis
+    rows = [{"kind": e.kind, "rule": e.rule, "value": frameio.round15(e.value)} for e in entries]
+    payload = {"m": args.m, "n": args.n, "known": bool(entries), "entries": rows}
+    _write(args, lambda out: frameio.write_json(payload, out))  # catalog runs no analysis
     return EXIT_OK
 
 
@@ -295,6 +289,9 @@ def run(argv=None) -> int:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if isinstance(args, str):  # the --help text
             _stdout().write(args)
+        elif args.command != "catalog":  # the others read or build a frame
+            # numpy loads before the frame exists: input held across its import raises peak RSS
+            frames.UnitVectorSystem
         code = EXIT_OK if isinstance(args, str) else _COMMANDS[args.command][0](args)
         if sys.stdout is not None:  # None only when every write went to --out
             sys.stdout.flush()  # a closed reader fails here, not at interpreter shutdown

@@ -6,20 +6,19 @@ Two formats are accepted.  The structured format is a JSON object
 without ``_``, one vector per line, with ``#`` comments.  Both store
 vectors one per row, though the literature prints frames as column
 matrices.  Rows within 1e-6 of unit norm are renormalized with a
-warning; anything farther off is rejected.
+warning; anything farther off is rejected.  No numpy is imported here, so
+``catalog`` writes its JSON and reads ``round15`` and ``welch_bound`` without it.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from itertools import islice
 
-import numpy as np
-
+from . import frames, numerics
 from .errors import ParseError, ShapeError
-from .frames import UnitVectorSystem
-from .numerics import Tolerances
 
 # encoder chunks joined per write by ``write_json``
 JSON_BATCH = 4096
@@ -30,13 +29,19 @@ def round15(x: float) -> float:
     return float(f"{float(x):.15g}")
 
 
-def parse_frame(text: str) -> UnitVectorSystem:
+def welch_bound(m: int, n: int) -> float:
+    """sqrt((m - n) / (n (m - 1))); requires m > n."""
+    if m <= n:
+        raise ValueError(f"Welch bound needs m > n, got m={m}, n={n}")
+    return math.sqrt((m - n) / (n * (m - 1.0)))
+
+
+def parse_frame(text: str) -> frames.UnitVectorSystem:
     """Parse frame file content (either format) into a validated system."""
-    system, _ = parse_frame_with_overrides(text)
-    return system
+    return parse_frame_with_overrides(text)[0]
 
 
-def parse_frame_with_overrides(text: str) -> tuple[UnitVectorSystem, dict]:
+def parse_frame_with_overrides(text: str) -> tuple[frames.UnitVectorSystem, dict]:
     """Like :func:`parse_frame` but also returns tolerance overrides; ignores a leading BOM."""
     text = text.removeprefix("\ufeff")
     stripped = "\n".join(line.partition("#")[0] for line in text.splitlines())
@@ -47,7 +52,7 @@ def parse_frame_with_overrides(text: str) -> tuple[UnitVectorSystem, dict]:
     return _parse_plain(stripped), {}
 
 
-def _parse_plain(text: str) -> UnitVectorSystem:
+def _parse_plain(text: str) -> frames.UnitVectorSystem:
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
@@ -66,7 +71,7 @@ def _parse_plain(text: str) -> UnitVectorSystem:
     for idx, row in enumerate(rows):
         if len(row) != width:
             raise ShapeError(f"row {idx} has {len(row)} entries, expected {width} (ragged rows)")
-    return UnitVectorSystem.from_vectors(np.array(rows))
+    return frames.UnitVectorSystem.from_vectors(rows)
 
 
 def _number(value) -> float:
@@ -76,7 +81,7 @@ def _number(value) -> float:
     return float(value)  # OverflowError for an integer beyond the float range
 
 
-def _parse_structured(text: str) -> tuple[UnitVectorSystem, dict]:
+def _parse_structured(text: str) -> tuple[frames.UnitVectorSystem, dict]:
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -116,13 +121,13 @@ def _parse_structured(text: str) -> tuple[UnitVectorSystem, dict]:
         if not isinstance(tols, dict):
             raise ParseError('"tolerances" must be an object')
         for key, value in tols.items():
-            if key not in Tolerances._fields:
+            if key not in numerics.Tolerances._fields:
                 raise ParseError(f"unknown tolerance {key!r}")
             try:
                 overrides[key] = _number(value)
             except (TypeError, OverflowError):
                 raise ParseError(f"tolerance {key!r} must be a number, got {value!r}") from None
-    return UnitVectorSystem.from_vectors(np.array(rows), labels=labels), overrides
+    return frames.UnitVectorSystem.from_vectors(rows, labels=labels), overrides
 
 
 def write_json(payload, out: io.TextIOBase) -> None:
@@ -160,17 +165,26 @@ def _coordinate(v: float) -> str:
     return text if "." in text else text + ".0"
 
 
-def write_frame(system: UnitVectorSystem, out: io.TextIOBase) -> None:
+# %.15g is _coordinate's text from the least normal |v| to below the least it writes as "1".
+_SMALLEST_NORMAL, _ROUNDS_TO_ONE = 2.2250738585072014e-308, 0.9999999999999996
+
+
+def write_frame(system: frames.UnitVectorSystem, out: io.TextIOBase) -> None:
     """Write a system to a text stream in the structured format, one row at a time.
 
     The text is ``emit_json`` of ``{"dim", "vectors", "labels"?}`` with
     ``round15`` applied to every coordinate (15 significant digits).
     """
     out.write(f'{{\n  "dim": {system.dim},\n  "vectors": [')
+    joint = ",\n      "
+    row_text = "    [\n      " + joint.join(["%.15g"] * system.dim) + "\n    ]"
     sep = "\n"
     for row in system.vectors:
-        coordinates = ",\n      ".join(map(_coordinate, row.tolist()))
-        out.write(f"{sep}    [\n      {coordinates}\n    ]")
+        values = row.tolist()
+        if _SMALLEST_NORMAL <= min(map(abs, values)) and max(map(abs, values)) < _ROUNDS_TO_ONE:
+            out.write(sep + row_text % tuple(values))
+        else:
+            out.write(f"{sep}    [\n      {joint.join(map(_coordinate, values))}\n    ]")
         sep = ",\n"
     out.write("\n  ]")
     if system.labels:
@@ -181,7 +195,7 @@ def write_frame(system: UnitVectorSystem, out: io.TextIOBase) -> None:
     out.write("\n}\n")
 
 
-def emit_frame(system: UnitVectorSystem) -> str:
+def emit_frame(system: frames.UnitVectorSystem) -> str:
     """The text that ``write_frame`` writes for the system."""
     buffer = io.StringIO()
     write_frame(system, buffer)

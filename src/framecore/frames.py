@@ -38,6 +38,8 @@ from .numerics import (
     rank_of,
     sym_eig,
 )
+# after numerics, whose larger compile leaves memory that frameio's compile reuses
+from .frameio import welch_bound
 
 # Rows farther than this from unit norm are rejected; closer ones are
 # renormalized with a warning (file round-tripping loses digits).
@@ -195,13 +197,6 @@ class BoundsCard(NamedTuple):
     gerzon_max_m: int
     meets_welch: bool | None
     exceeds_gerzon: bool
-
-
-def welch_bound(m: int, n: int) -> float:
-    """sqrt((m - n) / (n (m - 1))); requires m > n."""
-    if m <= n:
-        raise ValueError(f"Welch bound needs m > n, got m={m}, n={n}")
-    return math.sqrt((m - n) / (n * (m - 1.0)))
 
 
 def gram(system: UnitVectorSystem) -> GramMatrix:

@@ -5,10 +5,10 @@ per system; ``build_analysis_report`` and ``build_check_report`` render
 them, each next to the few facts only its command reads, and
 ``build_core_report`` and ``build_classify_report`` give the core trace
 and the per-vector verdicts of ``core`` and ``classify``, all as plain
-dicts with a fixed key order.  ``emit_report`` renders a dict as JSON (15
-significant digits, byte-stable across runs); the ``text`` module holds
-the human-readable views.  Every decided quantity carries the tolerance
-it was decided under so a reader can reproduce the verdict.
+dicts with a fixed key order and 15-significant-digit numbers, which
+``frameio.write_json`` writes byte-stable across runs; the ``text``
+module holds the human-readable views.  Every decided quantity carries
+the tolerance it was decided under so a reader can reproduce the verdict.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .frames import (
     spectral_data,
     tightness,
 )
-from .frameio import emit_json, round15
+from .frameio import round15
 from .numerics import DEFAULT_TOL, Tolerances
 
 
@@ -293,8 +293,3 @@ def build_classify_report(system: UnitVectorSystem, tol: Tolerances, index=None)
     verdicts = (isolable_set(system, tol).verdicts if index is None
                 else [classify_vector(system, index, tol)])
     return {"tolerances": tolerances_dict(tol), "verdicts": [verdict_dict(v) for v in verdicts]}
-
-
-def emit_report(report: dict) -> str:
-    """Render a report dict as stable JSON; the ``text`` module renders the text views."""
-    return emit_json(report)

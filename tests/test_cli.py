@@ -22,7 +22,6 @@ from framecore import (
     build_analysis_report,
     circular_frame,
     emit_frame,
-    emit_report,
     mub_r2,
     neighbors,
     parse_frame,
@@ -196,7 +195,7 @@ class TestParseFrame:
 class TestReport:
     def test_json_round_trip(self):
         report = build_analysis_report(six_in_r4())
-        text = emit_report(report)
+        text = emit_json(report)
         assert json.loads(text) == report
 
     def test_onb_report_values(self):
@@ -256,7 +255,7 @@ class TestWriteJson:
             expected = json.dumps(payload, indent=2) + "\n"
             streamed = io.StringIO()
             write_json(payload, streamed)
-            assert streamed.getvalue() == emit_json(payload) == emit_report(payload) == expected
+            assert streamed.getvalue() == emit_json(payload) == expected
 
     def test_one_write_per_batch_of_chunks(self):
         class Sink(list):
@@ -278,7 +277,7 @@ class TestWriteJson:
 
 
 def _json_report(system: UnitVectorSystem) -> dict:
-    return json.loads(emit_report(build_analysis_report(system)))
+    return json.loads(emit_json(build_analysis_report(system)))
 
 
 class TestReportCertificates:
@@ -327,7 +326,7 @@ class TestReportSchema:
     def test_no_gram_matrix_in_json_or_text(self):
         for system in (six_in_r4(), mub_r2(), circular_frame(5)):
             report = build_analysis_report(system)
-            assert '"gram"' not in emit_report(report)
+            assert '"gram"' not in emit_json(report)
             assert "gram matrix:" not in render_text(report)
 
     def test_neighbor_count_is_the_length_of_neighbors(self):
@@ -347,7 +346,7 @@ class TestReportSchema:
 
     def test_report_size_is_linear_in_m(self):
         system = random_unit_system(np.random.default_rng(12), 200, 12)
-        assert len(emit_report(build_analysis_report(system)).encode()) < 250_000
+        assert len(emit_json(build_analysis_report(system)).encode()) < 250_000
 
     def test_classify_emits_the_report_verdicts(self, monkeypatch, capsys):
         frame = emit_frame(six_in_r4())

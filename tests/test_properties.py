@@ -225,6 +225,12 @@ def _with_slack(*small):
 @example(UnitVectorSystem.from_vectors([_with_slack(1e-4, -9.99999999999999e-5, 9.999999999999999e-5)]))
 # the other end of fixed form for a unit row: a coordinate that 15 digits round up to 1
 @example(UnitVectorSystem.from_vectors([[0.9999999999999999, 1.4901161193847656e-08]]))
+# the bounds of write_frame's one-% rows: the largest double that 15 digits keep
+# below 1 and the next one; the smallest normal double and a subnormal
+@example(UnitVectorSystem.from_vectors(
+    [_with_slack(0.9999999999999994), _with_slack(float(np.nextafter(0.9999999999999994, 1.0)))]
+))
+@example(UnitVectorSystem.from_vectors([[2.2250738585072014e-308, 0.6, 0.8], [-1e-310, 0.6, -0.8]]))
 def test_emit_frame_matches_the_json_encoder_and_parses_back_exactly(system):
     text = emit_frame(system)
     assert text == _reference_emit_frame(system)

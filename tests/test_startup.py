@@ -22,8 +22,8 @@ SUBMODULES = sorted(
 
 # Imports the CLI in a fresh interpreter, runs one command and reports which
 # framecore modules are registered and which have executed, the public names
-# whose home modules executed, whether
-# ``dataclasses`` is loaded, and which of the argument-parsing modules.  A
+# whose home modules executed, whether ``dataclasses`` and ``numpy`` are
+# loaded, and which of the argument-parsing modules.  A
 # module whose execution LazyLoader defers keeps a ModuleType subclass until
 # its first attribute access runs it.
 PROBE_IMPORTS = "import contextlib, io, json, sys, types"
@@ -41,6 +41,7 @@ print(json.dumps({
     "code": code, "registered": registered, "executed": executed,
     "public": sorted(n for n, home in framecore._HOME.items() if home in homes),
     "dataclasses": "dataclasses" in sys.modules,
+    "numpy": "numpy" in sys.modules,
     "parsing": [m for m in %r if m in sys.modules],
 }))
 """ % (PARSING,)
@@ -48,18 +49,19 @@ print(json.dumps({
 ANALYSIS = ("analyze", "core", "classify", "check")
 TRANSFORMS = ("naimark", "double")
 
-# What every command executes: the shell, the frame reader and writer, and the
-# frame primitives.
-SHELL = {"cli", "errors", "frameio", "frames", "numerics"}
+# What every command executes: the shell and the frame reader and writer.
+SHELL = {"cli", "errors", "frameio"}
+# The frame primitives, which import numpy: every command that reads or writes a frame runs them.
+FRAMES = {"frames", "numerics"}
 # The modules each command executes beyond SHELL.
 RUNS = {
-    "analyze": {"coreanalysis", "diagnostics", "report"},
-    "check": {"coreanalysis", "diagnostics", "report"},
-    "core": {"coreanalysis", "report"},
-    "classify": {"coreanalysis", "report"},
-    "naimark": {"constructions"},
-    "double": {"constructions"},
-    "construct": {"constructions"},
+    "analyze": FRAMES | {"coreanalysis", "diagnostics", "report"},
+    "check": FRAMES | {"coreanalysis", "diagnostics", "report"},
+    "core": FRAMES | {"coreanalysis", "report"},
+    "classify": FRAMES | {"coreanalysis", "report"},
+    "naimark": FRAMES | {"constructions"},
+    "double": FRAMES | {"constructions"},
+    "construct": FRAMES | {"constructions"},
     "catalog": {"angles"},
 }
 # Public names by the part of the program they belong to: a command that does
@@ -95,6 +97,7 @@ EVERY_COMMAND = [[c] for c in ANALYSIS + TRANSFORMS] + [
 ]
 COMMANDS = pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
 HELP = [["--help"], ["analyze", "--help"], ["catalog", "-h"]]
+USAGE_ERRORS = [["catalog", "--m", "6"], ["no-such-command"], ["analyze", "--no-such-flag"]]
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +204,24 @@ def test_no_command_loads_argparse(argv, probe, numpy_loads):
     # numpy that imports one of them itself does not fail this.
     assert probe(argv)["code"] == 0
     assert set(probe(argv)["parsing"]) <= numpy_loads
+
+
+NO_FRAME = [
+    ["catalog", "--m", "6", "--n", "4"], ["catalog", "--m", "6", "--n", "4", "--format", "text"],
+    *HELP, *USAGE_ERRORS,
+]
+
+
+@pytest.mark.parametrize("argv", NO_FRAME, ids=" ".join)
+def test_commands_that_read_no_frame_never_import_numpy(argv, probe):
+    # The packing-angle catalog is closed-form scalars, and help and usage
+    # errors stop before any frame is read: numpy's import is most of a
+    # child's start-up.
+    probe = probe(argv)
+    assert probe["code"] == (1 if argv in USAGE_ERRORS else 0)
+    assert not probe["numpy"]
+    executed = {name.removeprefix("framecore.") for name in probe["executed"]}
+    assert executed.isdisjoint(FRAMES)
 
 
 def test_public_names_resolve_to_their_home_modules():
