@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coreanalysis import NOT_GRASSMANNIAN, CoreTrace
-from .frames import TightnessVerdict, UnitVectorSystem, coherence, spectral_data
+from .frames import TightnessVerdict, UnitVectorSystem, spectral_data
 from .numerics import DEFAULT_TOL, Tolerances, row_space
 
 # eigen_span_diagnostic passes when every distance is at or below this.
@@ -49,12 +49,13 @@ def validate_core(
     neighbor sets and ranks are read from the verdicts of the trace's last
     level, which classified the core's own subsystem at the core's
     coherence, so ``trace`` must come from ``core(system, tol)``.  When that
-    coherence is more than ``neighbor_abs`` below the system's, the passing
-    spanning row names both values instead of claiming the packing angle.
+    coherence is more than ``neighbor_abs`` below level 0's, the system's
+    packing angle, the passing spanning row names both values instead of
+    claiming the packing angle.
     Failures are labeled ``NOT_GRASSMANNIAN`` (an empty core fails the
     spanning row unlabeled); they never raise.
     """
-    n, alpha0 = system.dim, coherence(system)
+    n, alpha0 = system.dim, trace.levels[0].coherence
     if alpha0 <= tol.neighbor_abs:
         full = trace.core == tuple(range(system.size))
         return (
@@ -184,9 +185,7 @@ def eigen_span_diagnostic(
             per_vector.append(tuple(next(lone_rows)))
         else:
             basis = row_space(system.vectors[[v.index] + list(v.neighbors)], tol)[0]
-            per_vector.append(
-                tuple(float(np.linalg.norm(e - basis.T @ (basis @ e))) for e in top.T)
-            )
+            per_vector.append(tuple(np.linalg.norm(top - basis.T @ (basis @ top), axis=0).tolist()))
     if k > 1:
         why = "top eigenvalue is degenerate; the property is stated for one specific eigenvector"
         return EigenSpanReport("AMBIGUOUS", k, tuple(per_vector), why)

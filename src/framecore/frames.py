@@ -348,21 +348,16 @@ def is_equiangular(
 ) -> tuple[bool, float | None]:
     """Whether every neighbor set at the coherence holds the other m - 1 vectors.
 
-    Returns (flag, angle); the angle reported is the coherence.  Row i is
-    V x_i, the row ``neighbors`` reads, so the flag is the neighbor sets'
-    own verdict to the last bit; the first row with a | |G_ij| - alpha |
-    past neighbor_abs decides False.
+    Returns (flag, angle); the angle reported is the coherence.  Each set is
+    ``neighbors(system, i, alpha, tol)``, the band level 0 of ``core``
+    reads, and the first set short of m - 1 decides False.
     """
-    if system.size < 2:
+    m = system.size
+    if m < 2:
         raise ShapeError("equiangularity needs at least two vectors")
     alpha = coherence(system)
-    V = system.vectors
-    for i, x in enumerate(V):
-        gap = np.abs(np.abs(V @ x) - alpha)
-        gap[i] = 0.0
-        if gap.max() > tol.neighbor_abs:
-            return False, None
-    return True, alpha
+    full = all(len(neighbors(system, i, alpha, tol).indices) == m - 1 for i in range(m))
+    return (True, alpha) if full else (False, None)
 
 
 def etf_verdict(tight: TightnessVerdict, equiangular: bool, card: BoundsCard) -> bool:

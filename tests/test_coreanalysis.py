@@ -757,15 +757,12 @@ def _eigen_span_reference(X, tol):
     spec = spectral_data(X)
     k = spec.top_multiplicity(tol.eq_abs)
     alpha = gram(X).coherence
+    top = spec.eigenvectors[:, :k]
     per_vector = []
     for i in range(m):
         nb = neighbors(X, i, alpha, tol)
         basis = row_space(X.vectors[[i] + list(nb.indices)], tol)[0]
-        dists = []
-        for j in range(k):
-            e = spec.eigenvectors[:, j]
-            dists.append(float(np.linalg.norm(e - basis.T @ (basis @ e))))
-        per_vector.append(tuple(dists))
+        per_vector.append(tuple(np.linalg.norm(top - basis.T @ (basis @ top), axis=0).tolist()))
     if k > 1:
         return "AMBIGUOUS", per_vector
     return ("PASS" if max(d[0] for d in per_vector) <= 1e-7 else "FAIL"), per_vector
@@ -867,6 +864,11 @@ class TestLevelVerdictsAreReused:
                 else:
                     seen_deficient += 1
                     assert got == ref
+                    # One product per vector; each eigenvector alone agrees to rounding.
+                    basis = row_space(X.vectors[[v.index] + list(v.neighbors)], tol)[0]
+                    top = spectral_data(X).eigenvectors[:, : len(ref)]
+                    direct = [np.linalg.norm(e - basis.T @ (basis @ e)) for e in top.T]
+                    assert np.allclose(got, direct, rtol=0, atol=1e-14)
         assert seen_full and seen_deficient and seen_lone
 
     def test_validate_core_reads_the_final_level(self, monkeypatch):

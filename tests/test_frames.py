@@ -528,6 +528,20 @@ class TestEquiangular:
         flag, angle = is_equiangular(sys_)
         assert not flag and angle is None
 
+    def test_every_band_is_read_by_band_and_the_first_short_one_stops(self, monkeypatch):
+        # The band rule | |G_ij| - alpha | <= neighbor_abs is written once, in
+        # frames._band: an equiangular frame reads all m bands in order; with the
+        # diagonal first, basis-plus-diagonal's band 0 is full and band 1 is short.
+        t = np.ones(3) / np.sqrt(3.0)
+        diagonal_first = UnitVectorSystem.from_vectors([list(t), [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        cases = [(simplex_etf(3), True, 4), (six_in_r4(), True, 6), (diagonal_first, False, 2),
+                 (circular_frame(5), False, 1)]
+        for system, equiangular, reads in cases:
+            with monkeypatch.context() as mp:
+                bands = count_calls(mp, frames._band)
+                assert is_equiangular(system)[0] is equiangular
+            assert [args[0] for args in bands] == list(range(reads))
+
     def test_flag_is_every_neighbor_set_full_at_the_band_edge(self):
         # neighbor_abs is put a few ulps either side of coherence - min |G_ij| of a
         # nudged simplex, so the smallest |G_ij| sits at the edge of the band.

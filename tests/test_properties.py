@@ -162,8 +162,8 @@ def test_core_is_idempotent(system):
 @example(UnitVectorSystem.from_vectors(np.eye(3)))
 @example(circular_frame(5))
 def test_level0_decides_equiangularity_as_is_equiangular_does(system):
-    # is_equiangular's own loop and core's level-0 neighbor sets state one
-    # band rule twice; the flag, the angle and the parity gate must agree.
+    # is_equiangular counts the bands frames._band reads for core's level 0;
+    # the flag, the angle and the parity gate read from that level must agree.
     flag, angle = is_equiangular(system)
     assert analysis(system).equiangular == (flag, angle)
     tight = tightness(system).tight
