@@ -44,17 +44,16 @@ def parse_frame(text: str) -> frames.UnitVectorSystem:
 def parse_frame_with_overrides(text: str) -> tuple[frames.UnitVectorSystem, dict]:
     """Like :func:`parse_frame` but also returns tolerance overrides; ignores a leading BOM."""
     text = text.removeprefix("\ufeff")
-    stripped = "\n".join(line.partition("#")[0] for line in text.splitlines())
-    if not stripped.strip():
-        raise ParseError("empty frame file")
-    if stripped.lstrip()[0] in "{[":  # no plain-format row starts with "["
+    first = next((c for c in text if not c.isspace()), "")
+    if first in ("{", "["):  # no plain-format row starts with "["
         return _parse_structured(text)
-    return _parse_plain(stripped), {}
+    return _parse_plain(text), {}
 
 
 def _parse_plain(text: str) -> frames.UnitVectorSystem:
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.partition("#")[0]
         parts = line.split()
         if not parts:
             continue
@@ -66,7 +65,7 @@ def _parse_plain(text: str) -> frames.UnitVectorSystem:
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     if not rows:
-        raise ParseError("no vectors found")
+        raise ParseError("empty frame file")
     width = len(rows[0])
     for idx, row in enumerate(rows):
         if len(row) != width:
@@ -75,7 +74,7 @@ def _parse_plain(text: str) -> frames.UnitVectorSystem:
 
 
 def _number(value) -> float:
-    """``float(value)`` for a JSON number; booleans and strings are not numbers."""
+    """``float(value)`` for a JSON number, not a boolean or string; vector entries are only checked."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)  # OverflowError for an integer beyond the float range
@@ -96,22 +95,20 @@ def _parse_structured(text: str) -> tuple[frames.UnitVectorSystem, dict]:
     vectors = obj["vectors"]
     if not isinstance(vectors, list) or not vectors:
         raise ParseError('"vectors" must be a nonempty list of rows')
-    rows = []
     for idx, row in enumerate(vectors):
         if not isinstance(row, list):
             raise ParseError(f"row {idx} is not a list")
         if len(row) != dim:
             raise ShapeError(f"row {idx} has {len(row)} entries, expected dim = {dim}")
         try:
-            rows.append([_number(v) for v in row])
+            for v in row:
+                _number(v)
         except (TypeError, OverflowError) as exc:
             raise ParseError(f"row {idx}: {exc}") from None
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list):
             raise ParseError('"labels" must be a list')
-        if len(labels) != len(rows):
-            raise ShapeError(f"{len(labels)} labels for {len(rows)} vectors")
         for idx, label in enumerate(labels):
             if not isinstance(label, str):
                 raise ParseError(f"label {idx} must be a string, got {label!r}")
@@ -127,7 +124,7 @@ def _parse_structured(text: str) -> tuple[frames.UnitVectorSystem, dict]:
                 overrides[key] = _number(value)
             except (TypeError, OverflowError):
                 raise ParseError(f"tolerance {key!r} must be a number, got {value!r}") from None
-    return frames.UnitVectorSystem.from_vectors(rows, labels=labels), overrides
+    return frames.UnitVectorSystem.from_vectors(vectors, labels=labels), overrides
 
 
 def write_json(payload, out: io.TextIOBase) -> None:

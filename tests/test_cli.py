@@ -79,8 +79,23 @@ class TestParseFrame:
             parse_frame("1 zero\n")
 
     def test_empty(self):
-        with pytest.raises(ParseError):
-            parse_frame("# nothing\n")
+        for text in ("# nothing\n", "", "  \n\n"):
+            with pytest.raises(ParseError, match="^empty frame file$"):
+                parse_frame(text)
+
+    def test_structured_after_blank_lines(self):
+        system = parse_frame('\n\n  {"dim": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]]}')
+        assert system.size == 2 and np.array_equal(system.vectors, np.eye(2))
+
+    def test_hash_in_a_label_is_not_a_comment(self):
+        text = '{"dim": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]], "labels": ["a#b", "c"]}'
+        assert parse_frame(text).labels == ("a#b", "c")
+
+    def test_integer_entries_read_as_floats(self):
+        ints = parse_frame('{"dim": 3, "vectors": [[1, 0, 0], [0, -1, 0], [0, 0.6, 0.8]]}')
+        floats = parse_frame('{"dim": 3, "vectors": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.6, 0.8]]}')
+        assert ints.vectors.dtype == floats.vectors.dtype == np.float64
+        assert np.array_equal(ints.vectors, floats.vectors)
 
     def test_bad_json(self):
         with pytest.raises(ParseError):
@@ -105,7 +120,7 @@ class TestParseFrame:
         assert np.max(np.abs(back.vectors - system.vectors)) <= 1e-12
 
     def test_label_count_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^2 labels for 1 vectors$"):
             parse_frame('{"dim": 2, "vectors": [[1.0, 0.0]], "labels": ["a", "b"]}')
 
     def test_unknown_tolerance_key(self):
@@ -384,14 +399,19 @@ class TestCommands:
         assert json.loads(out_path.read_text())["input"]["m"] == 2
 
     def test_construct_pipe_analyze(self, monkeypatch, capsys):
-        code, frame_text, _ = run_cli(monkeypatch, capsys, ["construct", "circular", "--m", "5"])
-        assert code == 0
-        code, out, _ = run_cli(monkeypatch, capsys, ["analyze", "-"], stdin=frame_text)
-        assert code == 0
-        report = json.loads(out)
-        assert abs(report["coherence"] - math.cos(math.pi / 5.0)) <= 1e-12
-        assert report["tightness"]["kind"] == "tight"
-        assert abs(report["tightness"]["bound"] - 2.5) <= 1e-12
+        # (name and flags, m, coherence); both are tight frames in R^2 with bound m / 2
+        cases = [(["circular", "--m", "5"], 5, math.cos(math.pi / 5.0)), (["mub_r2"], 4, 1.0 / math.sqrt(2.0))]
+        for argv, m, mu in cases:
+            code, frame_text, _ = run_cli(monkeypatch, capsys, ["construct", *argv])
+            assert code == 0
+            system = parse_frame(frame_text)
+            assert (system.size, system.dim) == (m, 2)
+            code, out, _ = run_cli(monkeypatch, capsys, ["analyze", "-"], stdin=frame_text)
+            assert code == 0
+            report = json.loads(out)
+            assert abs(report["coherence"] - mu) <= 1e-12
+            assert report["tightness"]["kind"] == "tight"
+            assert abs(report["tightness"]["bound"] - m / 2) <= 1e-12
 
     def test_catalog_values(self, monkeypatch, capsys):
         code, out, _ = run_cli(monkeypatch, capsys, ["catalog", "--m", "6", "--n", "4"])

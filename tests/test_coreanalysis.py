@@ -262,6 +262,10 @@ class TestPerturbReplace:
         with pytest.raises(NonFinite):
             perturb_replace(six_in_r4(), 0, [bad, 0.0, 0.0, 0.0])
 
+    def test_rejects_witness_of_wrong_dimension(self):
+        with pytest.raises(ShapeError, match="witness has dimension 3, expected 4"):
+            perturb_replace(six_in_r4(), 0, [0.0, 1.0, 0.0])
+
     def test_bad_direction_fails_search(self):
         # pushing straight toward a neighbor can never drop below level
         X = tripod_example(0.5)
@@ -475,6 +479,23 @@ class TestDichotomy:
         )
         verdict = classify_n_plus_2(mm, trace=trace)
         assert verdict.kind == INCONCLUSIVE
+
+    def test_core_of_neither_size_is_inconclusive(self):
+        # m = n + 2 = 4, and a two-vector core is neither m nor n + 1 vectors.
+        mm = mub_r2()
+        members = (0, 2)
+        alpha = 1.0 / np.sqrt(2.0)
+        trace = CoreTrace(
+            (
+                CoreLevel((0, 1, 2, 3), (1, 3), alpha, isolable_set(mm).verdicts),
+                CoreLevel(members, (), alpha, isolable_set(mm.restrict(members)).verdicts),
+            ),
+            members,
+            (),
+        )
+        verdict = classify_n_plus_2(mm, trace=trace)
+        assert verdict.kind == INCONCLUSIVE and verdict.indices == members
+        assert verdict.warnings[-1].startswith("core size 2 matches neither branch; ")
 
 
 class TestTightGrassmannianDiagnostic:

@@ -35,7 +35,7 @@ from framecore import (
 )
 from framecore import frames
 from framecore.report import build_check_report
-from framecore.errors import NormError, NotAFrame, ShapeError
+from framecore.errors import NonFinite, NormError, NotAFrame, ShapeError
 from framecore.numerics import BLOCK_ROWS, gram_blocks, row_space
 from helpers import count_calls, random_unit_system, tripod_example
 
@@ -53,6 +53,10 @@ class TestUnitVectorSystem:
     def test_rejects_empty(self):
         with pytest.raises(ShapeError):
             UnitVectorSystem.from_vectors(np.zeros((0, 3)))
+
+    def test_one_dimensional_row_is_one_vector(self):
+        sys_ = UnitVectorSystem.from_vectors([0.6, 0.8])
+        assert sys_.vectors.tolist() == [[0.6, 0.8]]
 
     def test_restrict_keeps_labels(self):
         sys_ = six_in_r4().restrict([1, 3])
@@ -73,6 +77,11 @@ class TestUnitVectorSystem:
     def test_neighbors_rejects_bad_level(self):
         with pytest.raises(ValueError):
             neighbors(mub_r2(), 0, 1.5)
+
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_neighbors_rejects_bad_index(self, i):
+        with pytest.raises(ShapeError, match=f"^index {i} out of range$"):
+            neighbors(mub_r2(), i, 0.5)
 
 
 class TestGram:
@@ -528,6 +537,10 @@ class TestEquiangular:
         flag, angle = is_equiangular(sys_)
         assert not flag and angle is None
 
+    def test_one_vector_is_rejected(self):
+        with pytest.raises(ShapeError, match="at least two vectors"):
+            is_equiangular(UnitVectorSystem.from_vectors([[1.0, 0.0]]))
+
     def test_every_band_is_read_by_band_and_the_first_short_one_stops(self, monkeypatch):
         # The band rule | |G_ij| - alpha | <= neighbor_abs is written once, in
         # frames._band: an equiangular frame reads all m bands in order; with the
@@ -600,6 +613,10 @@ class TestEtf:
     def test_orthonormal_basis_degenerate_case(self):
         assert is_etf(UnitVectorSystem.from_vectors(np.eye(4)))
 
+    def test_one_vector_is_rejected(self):
+        with pytest.raises(ShapeError, match="at least two vectors"):
+            is_etf(UnitVectorSystem.from_vectors([[1.0, 0.0]]))
+
 
 class TestBoundsCard:
     def test_welch_six_four(self):
@@ -649,6 +666,13 @@ class TestReconstruct:
         pair = UnitVectorSystem.from_vectors(np.eye(3)[:2])
         with pytest.raises(NotAFrame):
             reconstruct(pair, np.ones(3))
+
+    def test_rejects_bad_targets(self):
+        onb = UnitVectorSystem.from_vectors(np.eye(3))
+        with pytest.raises(ShapeError, match="target has dimension 2, expected 3"):
+            reconstruct(onb, [1.0, 0.0])
+        with pytest.raises(NonFinite):
+            reconstruct(onb, [1.0, np.nan, 0.0])
 
     def test_identity_on_seeded_spanning_systems(self):
         rng = np.random.default_rng(77)

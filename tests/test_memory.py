@@ -1,9 +1,10 @@
 """Memory regression tests: frame emission holds one row of text at a time,
-the Gram matrix is computed with no m x m temporary beside it, and the
-coherence, the equiangularity test, the bound card, the analysis, check
-and core reports, the Naimark complement and the ``double`` command form no
-m x m array at all: the largest transient is one block of ``gram_blocks``,
-BLOCK_ROWS x m, and the bounds follow that constant.
+parsing holds no second copy of the text or its rows, the Gram matrix is
+computed with no m x m temporary beside it, and the coherence, the
+equiangularity test, the bound card, the analysis, check and core reports,
+the Naimark complement and the ``double`` command form no m x m array at
+all: the largest transient is one block of ``gram_blocks``, BLOCK_ROWS x m,
+and the bounds follow that constant.
 
 Peaks are read with tracemalloc, which numpy reports its buffers to, so they
 repeat exactly from run to run.
@@ -64,6 +65,13 @@ def test_write_json_holds_one_batch_of_text():
     # One batch of JSON_BATCH encoder chunks and their joined text, 0.38 MiB;
     # json.dumps holds every chunk and the whole text, 3.9 MiB.
     assert _peak_bytes(lambda: write_json(report, _Discard())) <= 512 * KIB
+
+
+def test_parse_frame_holds_no_copy_of_the_text_or_rows():
+    text = emit_frame(random_unit_system(np.random.default_rng(0), 2000, 12))
+    # The parsed JSON, 2.1 bytes per character of text, sets the peak; a
+    # comment-stripped copy of the text and a second list of rows made it 4.5.
+    assert _peak_bytes(lambda: parse_frame(text)) <= 3 * len(text)
 
 
 def test_gram_holds_no_m_by_m_temporary():
