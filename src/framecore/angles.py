@@ -45,6 +45,17 @@ class AngleCatalogEntry(_AngleCatalogFields):
         return entry
 
 
+_R5 = math.sqrt(5.0)
+# (q, r, d, a, b, c, rule): for n = r (mod q), that is n = -d (mod q), and
+# m = n + d the optimal angle is alpha = a / (b n + c).
+_CONGRUENCE_RULES = (
+    (3, 1, 2, 3.0, 2.0, 1.0, "n+2_mod3"),
+    (6, 3, 3, 6.0, _R5 + 1.0, 3.0 * (_R5 - 1.0), "n+3_mod6"),
+    (28, 21, 7, 14.0, 5.0, 21.0, "n+7_mod28"),
+    (276, 253, 23, 69.0, 14.0, 253.0, "n+23_mod276"),
+)
+
+
 def angle_catalog(m: int, n: int) -> tuple[AngleCatalogEntry, ...]:
     """Exactly known packing angles for (m, n); empty when no rule applies.
 
@@ -54,23 +65,8 @@ def angle_catalog(m: int, n: int) -> tuple[AngleCatalogEntry, ...]:
     """
     if n < 2 or m <= n:
         return ()
-    entries = []
-    if n % 3 == 1 and m == n + 2:  # n = -2 (mod 3)
-        entries.append(
-            AngleCatalogEntry(m, n, GRASSMANNIAN_ALPHA, 3.0 / (2.0 * n + 1.0), "n+2_mod3")
-        )
-    if n % 6 == 3 and m == n + 3:  # n = -3 (mod 6)
-        r5 = math.sqrt(5.0)
-        value = 6.0 / ((r5 + 1.0) * n + 3.0 * (r5 - 1.0))
-        entries.append(AngleCatalogEntry(m, n, GRASSMANNIAN_ALPHA, value, "n+3_mod6"))
-    if n % 28 == 21 and m == n + 7:  # n = -7 (mod 28)
-        entries.append(
-            AngleCatalogEntry(m, n, GRASSMANNIAN_ALPHA, 14.0 / (5.0 * n + 21.0), "n+7_mod28")
-        )
-    if n % 276 == 253 and m == n + 23:  # n = -23 (mod 276)
-        entries.append(
-            AngleCatalogEntry(m, n, GRASSMANNIAN_ALPHA, 69.0 / (14.0 * n + 253.0), "n+23_mod276")
-        )
+    entries = [AngleCatalogEntry(m, n, GRASSMANNIAN_ALPHA, a / (b * n + c), rule)
+               for q, r, d, a, b, c, rule in _CONGRUENCE_RULES if n % q == r and m == n + d]
     if m == n + 2:
         value = (2.0 / n) * math.cos(math.pi / (n + 2.0))
         entries.append(AngleCatalogEntry(m, n, ONE_GRASSMANNIAN_MU, value, "tight_n+2"))

@@ -219,20 +219,18 @@ def _cmd_double(args) -> int:
     return EXIT_OK
 
 
+# construct name -> (the size flag it requires or None, its ``constructions`` function)
+_CONSTRUCTIONS = {"circular": ("--m", "circular_frame"), "six_in_r4": (None, "six_in_r4"),
+                  "mub_r2": (None, "mub_r2"), "simplex": ("--n", "simplex_etf")}
+
+
 def _cmd_construct(args) -> int:
+    flag, builder = _CONSTRUCTIONS[args.name]
+    sizes = () if flag is None else (getattr(args, flag.lstrip("-")),)
+    if None in sizes:
+        raise _UsageError(f"construct {args.name} requires {flag}")
     try:
-        if args.name == "circular":
-            if args.m is None:
-                raise _UsageError("construct circular requires --m")
-            system = constructions.circular_frame(args.m)
-        elif args.name == "six_in_r4":
-            system = constructions.six_in_r4()
-        elif args.name == "mub_r2":
-            system = constructions.mub_r2()
-        else:
-            if args.n is None:
-                raise _UsageError("construct simplex requires --n")
-            system = constructions.simplex_etf(args.n)
+        system = getattr(constructions, builder)(*sizes)
     except ValueError as exc:  # an out-of-range --m or --n
         raise ValidationError(f"construct {args.name}: {exc}") from None
     _write(args, lambda out: frameio.write_frame(system, out))
@@ -275,7 +273,7 @@ _COMMANDS = {
     "naimark": (_cmd_naimark, "complementary system", _TRANSFORM),
     "double": (_cmd_double, "doubled system in R^{2n}", _TRANSFORM),
     "construct": (_cmd_construct, "emit a catalog frame", {
-        "name": (("circular", "six_in_r4", "mub_r2", "simplex"), ...),
+        "name": (tuple(_CONSTRUCTIONS), ...),
         "--m": (int, None), "--n": (int, None), "--out": (str, None)}),
     "catalog": (_cmd_catalog, "exactly known packing angles",
                 {"--m": (int, ...), "--n": (int, ...), **_FORMAT, "--out": (str, None)}),

@@ -177,10 +177,6 @@ def double(system: UnitVectorSystem) -> UnitVectorSystem:
     s = 1.0 / math.sqrt(2.0)
     plus = np.hstack([V, V]) * s
     minus = np.hstack([V, -V]) * s
-    if system.labels:
-        labels = [f"{name}+" for name in system.labels] + [f"{name}-" for name in system.labels]
-    else:
-        labels = [f"v{i+1}+" for i in range(system.size)] + [
-            f"v{i+1}-" for i in range(system.size)
-        ]
+    names = system.labels or [f"v{i+1}" for i in range(system.size)]
+    labels = [f"{name}+" for name in names] + [f"{name}-" for name in names]
     return UnitVectorSystem.from_vectors(np.vstack([plus, minus]), labels=labels)

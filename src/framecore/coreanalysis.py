@@ -249,7 +249,8 @@ class CoreLevel(NamedTuple):
 
     ``members`` and ``removed`` index the input system; ``coherence`` is the
     level's own.  ``verdicts`` classify the level's subsystem and decided
-    the removals; their indices are positions in ``members``.  They are
+    the removals; they name input rows too: ``verdicts[j].index ==
+    members[j]``, and so do their ``neighbors``.  The verdicts are
     evidence, not identity: a level compares (``==`` and ``!=``) and hashes
     by its first three fields only, and equals only another ``CoreLevel``.
     """
@@ -271,7 +272,7 @@ class CoreLevel(NamedTuple):
     @property
     def warnings(self) -> tuple[str, ...]:
         """The kept indeterminate vectors, named by input row."""
-        kept = [self.members[v.index] for v in self.verdicts if v.status == INDETERMINATE]
+        kept = [v.index for v in self.verdicts if v.status == INDETERMINATE]
         return (f"vectors {kept} are indeterminate and were kept (not removed)",) if kept else ()
 
 
@@ -301,11 +302,12 @@ def core(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> CoreTrace:
     removed from them, the level's own coherence (recomputed per level; a
     change from the original coherence is flagged, since for
     coherence-minimizing input the level coherences all agree) and the
-    verdicts that decided the removals.  Level 0 is the whole system, so
-    ``levels[0]`` is ``isolable_set(system)``; when the core is nonempty the
-    last level's verdicts are those of the core's own vectors.  An emptied
-    chain returns an empty core with a warning: genuine minimizers always
-    stop at >= n + 1 vectors.
+    verdicts that decided the removals, their ``index`` and ``neighbors``
+    mapped too; no other code sees a subsystem position.  Level 0 is the
+    whole system, so ``levels[0]`` is ``isolable_set(system)``; when the
+    core is nonempty the last level's verdicts are those of the core's own
+    vectors.  An emptied chain returns an empty core with a warning:
+    genuine minimizers always stop at >= n + 1 vectors.
     """
     current = tuple(range(system.size))
     levels: list[CoreLevel] = []
@@ -313,8 +315,10 @@ def core(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TOL) -> CoreTrace:
     while current:
         level = isolable_set(system.restrict(current) if levels else system, tol)
         if levels:
-            removed = tuple(current[j] for j in level.removed)
-            level = CoreLevel(current, removed, level.coherence, level.verdicts)
+            rows = current.__getitem__  # a position in the subsystem -> its input row
+            verdicts = tuple(v._replace(index=rows(v.index), neighbors=tuple(map(rows, v.neighbors)))
+                             for v in level.verdicts)
+            level = CoreLevel(current, tuple(map(rows, level.removed)), level.coherence, verdicts)
             if abs(level.coherence - levels[0].coherence) > tol.neighbor_abs:
                 warnings.append(
                     f"coherence changed from {levels[0].coherence!r} to "

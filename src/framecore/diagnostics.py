@@ -48,10 +48,10 @@ def validate_core(
     and each member's neighbors *within the core* must span R^n.  Those
     neighbor sets and ranks are read from the verdicts of the trace's last
     level, which classified the core's own subsystem at the core's
-    coherence, so ``trace`` must come from ``core(system, tol)``.  When that
-    coherence is more than ``neighbor_abs`` below level 0's, the system's
-    packing angle, the passing spanning row names both values instead of
-    claiming the packing angle.
+    coherence and name input rows, so ``trace`` must come from
+    ``core(system, tol)``.  When that coherence is more than
+    ``neighbor_abs`` below level 0's, the system's packing angle, the
+    passing spanning row names both values instead of claiming it.
     Failures are labeled ``NOT_GRASSMANNIAN`` (an empty core fails the
     spanning row unlabeled); they never raise.
     """
@@ -69,7 +69,7 @@ def validate_core(
         span = check_row("core_neighbors_span", False, "core is empty", failure=None)
         return (size, span)
     final = trace.levels[-1]
-    failures = [final.members[v.index] for v in final.verdicts if v.neighbor_rank < n]
+    failures = [v.index for v in final.verdicts if v.neighbor_rank < n]
     at = "at the packing angle"
     if abs(final.coherence - alpha0) > tol.neighbor_abs:
         at = f"at the core's coherence {final.coherence:.15g}, below the packing angle {alpha0:.15g}"

@@ -121,7 +121,7 @@ class UnitVectorSystem:
             raise ShapeError("cannot restrict to an empty index set")
         if any(i < 0 or i >= self.size for i in idx):
             raise ShapeError(f"index out of range for a system of {self.size} vectors")
-        sub = self.vectors[idx].copy()
+        sub = self.vectors[idx]  # fancy indexing copies
         sub.flags.writeable = False
         labels = tuple(self.labels[i] for i in idx) if self.labels else None
         return UnitVectorSystem(sub, labels, ())

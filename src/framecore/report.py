@@ -142,8 +142,9 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
 
     Renders ``analysis(system, tol)`` with the bounds, equiangularity,
     spectrum and drop-one spanning flags.  Level 0 of the core trace
-    supplies ``vectors``.  When the two ETF routes disagree, ``etf`` is
-    null and the disagreement is a warning.
+    supplies ``vectors``.  The top-level ``warnings`` are the frame's own
+    (renormalized rows; ``etf`` null when the two ETF routes disagree); the
+    trace's, kept indeterminate vectors among them, are in ``core`` alone.
 
     The report holds O(m n) numbers, and building it holds no m x m array:
     each vector's neighbor band is read from its own row V x_i.  Each entry
@@ -227,7 +228,7 @@ def build_analysis_report(system: UnitVectorSystem, tol: Tolerances = DEFAULT_TO
             "tight_grassmannian": _checks([facts.tight_n_plus_2])[0],
             "core_validation": {"checks": _checks(facts.core_validation)},
         },
-        "warnings": warnings + list(level0.warnings),
+        "warnings": warnings,
     }
 
 

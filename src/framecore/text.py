@@ -33,8 +33,7 @@ def render_text(report: dict) -> str:
     Summary lines for each block of the report and one line per vector
     verdict (status, neighbor count and rank); neighbor lists, witnesses
     and certificates are left to the JSON report.  The core trace's
-    warnings follow its levels, except those the report's own warnings
-    already list.
+    warnings follow its levels; the frame's own warnings close the view.
     """
     lines = []
     inp = report["input"]
@@ -64,7 +63,7 @@ def render_text(report: dict) -> str:
         f"coherence={_fmt_value(level['coherence'])}"
         for k, level in enumerate(c["levels"])
     ]
-    lines += [f"  warning: {w}" for w in c["warnings"] if w not in report["warnings"]]
+    lines += [f"  warning: {w}" for w in c["warnings"]]
     lines.append(f"core: {c['core']}")
     lines.append("diagnostics:")
     d = report["diagnostics"]

@@ -768,14 +768,18 @@ class TestTextRenderers:
         lines = self.NEAR_TIE_VERDICTS if index is None else [self.NEAR_TIE_VERDICTS[index]]
         assert got == (0, "".join(lines), "")
 
-    def test_core_warnings_already_listed_print_once(self):
-        # The level-0 indeterminate warning is in both lists; it prints once.
+    def test_each_warning_is_listed_and_printed_once(self):
+        # The level-0 indeterminate warning belongs to the core trace alone:
+        # the report's own warnings repeat none of the trace's, and the text
+        # prints each warning once, the trace's under "core trace:".
         report = build_analysis_report(near_tie())
-        shared = set(report["core"]["warnings"]) & set(report["warnings"])
-        assert any("indeterminate" in w for w in shared)
+        assert any("indeterminate" in w for w in report["core"]["warnings"])
+        assert not set(report["core"]["warnings"]) & set(report["warnings"])
         text = render_text(report)
         for w in report["core"]["warnings"] + report["warnings"]:
             assert text.count(w) == 1
+        trace_block = text.split("core trace:\n")[1].split("\ncore: ")[0]
+        assert all(f"  warning: {w}" in trace_block for w in report["core"]["warnings"])
 
     def test_check_text_mode(self, monkeypatch, capsys):
         code, out, _ = run_cli(

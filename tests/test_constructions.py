@@ -226,15 +226,19 @@ class TestDouble:
 class TestAngleCatalog:
     def test_six_four(self):
         values = {e.kind: e.value for e in angle_catalog(6, 4)}
+        assert values[GRASSMANNIAN_ALPHA] == 3.0 / (2.0 * 4 + 1.0)  # n+2_mod3
         assert abs(values[GRASSMANNIAN_ALPHA] - 1.0 / 3.0) <= 1e-12
 
     def test_six_three(self):
         (entry,) = angle_catalog(6, 3)
         assert entry.kind == GRASSMANNIAN_ALPHA
-        assert abs(entry.value - 1.0 / math.sqrt(5.0)) <= 1e-12
+        r5 = math.sqrt(5.0)
+        assert entry.value == 6.0 / ((r5 + 1.0) * 3 + 3.0 * (r5 - 1.0))  # n+3_mod6
+        assert abs(entry.value - 1.0 / r5) <= 1e-12
 
     def test_nine_seven(self):
         values = {e.kind: e.value for e in angle_catalog(9, 7)}
+        assert values[GRASSMANNIAN_ALPHA] == 3.0 / (2.0 * 7 + 1.0)  # n+2_mod3
         assert abs(values[GRASSMANNIAN_ALPHA] - 0.2) <= 1e-12
 
     def test_five_three_mu(self):
@@ -244,9 +248,9 @@ class TestAngleCatalog:
 
     def test_large_offset_rules(self):
         (entry, ) = angle_catalog(28, 21)
-        assert abs(entry.value - 14.0 / (5.0 * 21 + 21.0)) <= 1e-12
+        assert entry.value == 14.0 / (5.0 * 21 + 21.0)  # n+7_mod28
         (entry, ) = angle_catalog(276, 253)
-        assert abs(entry.value - 69.0 / (14.0 * 253 + 253.0)) <= 1e-12
+        assert entry.value == 69.0 / (14.0 * 253 + 253.0)  # n+23_mod276
 
     def test_no_rule_applies(self):
         assert angle_catalog(9, 4) == ()

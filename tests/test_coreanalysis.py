@@ -322,6 +322,35 @@ class TestCore:
         assert abs(trace.levels[0].coherence - 1.0 / np.sqrt(3.0)) <= 1e-12
         assert trace.levels[1].coherence == 0.0
 
+    @pytest.mark.parametrize("X", [
+        UnitVectorSystem.from_vectors(simplex_with_midpoints(6).vectors[::-1]),
+        basis_plus_diagonal(),
+        near_tie(),
+    ], ids=["reversed-simplex-midpoints", "basis-plus-diagonal", "near-tie"])
+    def test_every_level_verdict_checks_against_input_rows(self, X):
+        # Every level's verdicts name input rows: verdict j classified member
+        # j, and its neighbors, signs, certificate and witness check against
+        # the input rows at the level's coherence.
+        V, tol = X.vectors, DEFAULT_TOL
+        levels = core(X).levels
+        assert len(levels) >= 2
+        for level in levels:
+            assert tuple(v.index for v in level.verdicts) == level.members
+            for v in level.verdicts:
+                x, others = V[v.index], [y for y in level.members if y != v.index]
+                at_level = np.abs(np.abs(V[others] @ x) - level.coherence) <= tol.neighbor_abs
+                assert v.neighbors == tuple(np.array(others, dtype=int)[at_level].tolist())
+                products = V[list(v.neighbors)] @ x
+                assert v.signs == tuple(np.where(products >= 0.0, 1.0, -1.0).tolist())
+                s = np.asarray(v.signs)
+                U = s[:, None] * V[list(v.neighbors)] - (s * products)[:, None] * x
+                if v.certificate is not None:
+                    assert len(v.certificate) == len(v.neighbors)
+                    assert np.linalg.norm(v.certificate @ U) <= tol.hull_abs
+                if v.witness is not None:
+                    assert abs(float(v.witness @ x)) <= 1e-10
+                    assert np.all(U @ v.witness <= 1e-10)
+
     def test_emptying_chain_warns(self):
         X = UnitVectorSystem.from_vectors(
             [[1.0, 0.0], [0.5, np.sqrt(0.75)]]

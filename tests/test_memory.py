@@ -1,10 +1,11 @@
 """Memory regression tests: frame emission holds one row of text at a time,
-parsing holds no second copy of the text or its rows, the Gram matrix is
-computed with no m x m temporary beside it, and the coherence, the
-equiangularity test, the bound card, the analysis, check and core reports,
-the Naimark complement and the ``double`` command form no m x m array at
-all: the largest transient is one block of ``gram_blocks``, BLOCK_ROWS x m,
-and the bounds follow that constant.
+parsing holds no second copy of the text or its rows, a restriction copies
+the kept rows once, the Gram matrix is computed with no m x m temporary
+beside it, and the coherence, the equiangularity test, the bound card,
+the analysis, check and core reports, the Naimark complement and the
+``double`` command form no m x m array at all: the largest transient is
+one block of ``gram_blocks``, BLOCK_ROWS x m, and the bounds follow that
+constant.
 
 Peaks are read with tracemalloc, which numpy reports its buffers to, so they
 repeat exactly from run to run.
@@ -72,6 +73,14 @@ def test_parse_frame_holds_no_copy_of_the_text_or_rows():
     # The parsed JSON, 2.1 bytes per character of text, sets the peak; a
     # comment-stripped copy of the text and a second list of rows made it 4.5.
     assert _peak_bytes(lambda: parse_frame(text)) <= 3 * len(text)
+
+
+def test_restrict_copies_the_rows_once():
+    system = random_unit_system(np.random.default_rng(0), 2000, 12)
+    keep = list(range(0, 2000, 2))
+    rows_bytes = len(keep) * system.dim * 8
+    # The kept rows and the list of indices; a second copy of the rows made it 2.09 times.
+    assert _peak_bytes(lambda: system.restrict(keep)) <= 1.5 * rows_bytes
 
 
 def test_gram_holds_no_m_by_m_temporary():
